@@ -4,8 +4,11 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use temco_ir::{ActKind, PoolKind};
-use temco_runtime::{fused_forward, fused_forward_tiled};
+use temco_runtime::{fused_forward, FusedSchedule};
 use temco_tensor::{conv2d, max_pool2d, Conv2dParams, Tensor};
+
+/// The default schedule: the row-strip body.
+const STRIP: FusedSchedule = FusedSchedule::DEFAULT;
 
 fn unfused(x: &Tensor, lw: &Tensor, fw: &Tensor, pool: Option<(PoolKind, usize, usize)>) -> Tensor {
     let p = Conv2dParams::default();
@@ -29,7 +32,9 @@ fn bench_fused(c: &mut Criterion) {
             BenchmarkId::new("fused", format!("{c_full}c_{hw}px")),
             &(),
             |b, _| {
-                b.iter(|| fused_forward(&x, &lw, None, ActKind::Relu, None, Some(&fw), None));
+                b.iter(|| {
+                    fused_forward(&x, &lw, None, ActKind::Relu, None, Some(&fw), None, STRIP)
+                });
             },
         );
         group.bench_with_input(
@@ -47,7 +52,7 @@ fn bench_fused(c: &mut Criterion) {
     let fw = Tensor::randn(&[rank, c_full, 1, 1], 6);
     let pool = Some((PoolKind::Max, 2, 2));
     group.bench_function("fused", |b| {
-        b.iter(|| fused_forward(&x, &lw, None, ActKind::Relu, pool, Some(&fw), None));
+        b.iter(|| fused_forward(&x, &lw, None, ActKind::Relu, pool, Some(&fw), None, STRIP));
     });
     group.bench_function("unfused", |b| b.iter(|| unfused(&x, &lw, &fw, pool)));
     group.finish();
@@ -61,12 +66,13 @@ fn bench_fused(c: &mut Criterion) {
     let lw = Tensor::randn(&[c_full, rank, 1, 1], 8);
     let fw = Tensor::randn(&[rank, c_full, 1, 1], 9);
     for tile in [4usize, 8, 16, 32] {
-        group.bench_with_input(BenchmarkId::new("tiled", tile), &tile, |b, &t| {
-            b.iter(|| fused_forward_tiled(&x, &lw, None, ActKind::Relu, None, Some(&fw), None, t));
+        let tiled = FusedSchedule { tile, ..STRIP };
+        group.bench_with_input(BenchmarkId::new("tiled", tile), &tiled, |b, &s| {
+            b.iter(|| fused_forward(&x, &lw, None, ActKind::Relu, None, Some(&fw), None, s));
         });
     }
     group.bench_function("strip", |b| {
-        b.iter(|| fused_forward(&x, &lw, None, ActKind::Relu, None, Some(&fw), None));
+        b.iter(|| fused_forward(&x, &lw, None, ActKind::Relu, None, Some(&fw), None, STRIP));
     });
     group.finish();
 }

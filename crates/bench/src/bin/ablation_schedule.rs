@@ -4,13 +4,14 @@
 //! Compares three schedules of the fully-optimized graphs — program order,
 //! demand-driven DFS, and the Compare-ranked DFS that generalizes
 //! Algorithm 2's `Compare` — by planned peak internal memory and by the
-//! greedy-by-size arena size a deployment allocator would reserve.
+//! value region the alias-free static allocator reserves (the arena a
+//! deployment allocator would hold for internal tensors).
 
 use temco::{Compiler, CompilerOptions, OptLevel};
 use temco_bench::{harness_config, mib};
-use temco_ir::{apply_order, memory_aware_order, memory_aware_order_ranked};
+use temco_ir::{apply_order, liveness, memory_aware_order, memory_aware_order_ranked};
 use temco_models::ModelId;
-use temco_runtime::{plan_arena, plan_memory, validate_arena};
+use temco_runtime::{plan_allocation_with_mode, plan_memory, AliasMode};
 
 fn main() {
     let cfg = harness_config(64, 4);
@@ -32,18 +33,18 @@ fn main() {
             }
             assert!(temco_ir::verify(&g).is_empty(), "{label} schedule broke the graph");
             let plan = plan_memory(&g);
-            let arena = plan_arena(&g);
-            assert!(validate_arena(&arena).is_empty(), "invalid arena plan");
+            let arena = plan_allocation_with_mode(&g, &liveness(&g), AliasMode::Off);
+            assert!(arena.validate().is_empty(), "invalid arena plan");
             println!(
                 "{:<14} {:<14} {:>9.2} MiB {:>9.2} MiB {:>8.3}",
                 model.name(),
                 label,
                 mib(plan.peak_internal_bytes),
-                mib(arena.arena_bytes),
-                arena.fragmentation()
+                mib(arena.value_bytes),
+                arena.fragmentation().ratio
             );
         }
     }
-    println!("\n(arena = greedy-by-size static buffer plan à la Pisarchyk & Lee [31];");
+    println!("\n(arena = alias-free best-fit static buffer plan à la Pisarchyk & Lee [31];");
     println!(" frag = arena / peak-live — 1.0 means the allocator hits the lower bound)");
 }

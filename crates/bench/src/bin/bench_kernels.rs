@@ -21,9 +21,7 @@ use temco::{Compiler, OptLevel};
 use temco_bench::harness_config;
 use temco_models::ModelId;
 use temco_runtime::{execute, ExecMode, ExecOptions};
-use temco_tensor::{
-    sgemm, sgemm_reference, sgemm_scratch_floats_with, sgemm_scratch_with, GemmSchedule, Tensor,
-};
+use temco_tensor::{gemm, gemm_scratch_floats, sgemm, sgemm_reference, GemmSchedule, Tensor};
 
 /// Median wall-clock seconds of `reps` runs of `f` (after one warmup).
 fn median_secs(reps: usize, mut f: impl FnMut()) -> f64 {
@@ -101,10 +99,10 @@ fn bench_tuned_gemm(name: &'static str, m: usize, k: usize, n: usize, reps: usiz
     let mut best_secs = f64::INFINITY;
     let mut best = GemmSchedule::DEFAULT;
     for (i, &s) in candidates.iter().enumerate() {
-        let mut scratch = vec![0.0f32; sgemm_scratch_floats_with(m, k, n, s)];
+        let mut scratch = vec![0.0f32; gemm_scratch_floats(m, k, n, s)];
         let secs = median_secs(reps, || {
             out.fill(0.0);
-            sgemm_scratch_with(&a, &b, &mut out, m, k, n, &mut scratch, s);
+            gemm(&a, false, &b, false, &mut out, m, k, n, &mut scratch, s);
         });
         if i == 0 {
             default_secs = secs;

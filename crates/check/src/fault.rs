@@ -27,7 +27,7 @@
 //!    pool would never answer).
 //! 4. **Counter conservation** — after a graceful shutdown,
 //!    `submitted == completed + deadline_expired + failed_shutdown` with an
-//!    empty queue ([`StatsSnapshot::is_conserved_at_rest`]); any leak means
+//!    empty queue ([`temco_serve::StatsSnapshot::is_conserved_at_rest`]); any leak means
 //!    a request was double-counted or silently dropped.
 
 use std::io::{self, Read, Write};

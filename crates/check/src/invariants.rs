@@ -176,7 +176,7 @@ pub fn check_plan_against(g: &Graph, plan: &AllocationPlan) -> Vec<String> {
         else {
             break; // length mismatch already flagged
         };
-        let need = temco_runtime::node_scratch_bytes_with(g, node, sched);
+        let need = temco_runtime::node_scratch_bytes(g, node, sched);
         if reserved != need {
             errs.push(format!(
                 "node '{}' reserves {} scratch bytes but its schedule ({}) needs {}",
@@ -521,9 +521,7 @@ mod tests {
             // under-reservation from first principles.
             if let Some(i) = plan.node_scratch.iter().position(|&s| s > 0) {
                 let big = NodeSchedule::Gemm(GemmSchedule { kc: 4096, mc: 4096, nc: 4096 });
-                if temco_runtime::node_scratch_bytes_with(&g, &g.nodes[i], big)
-                    != plan.node_scratch[i]
-                {
+                if temco_runtime::node_scratch_bytes(&g, &g.nodes[i], big) != plan.node_scratch[i] {
                     plan.node_schedule[i] = big;
                     let errs = check_plan_against(&g, &plan);
                     assert!(

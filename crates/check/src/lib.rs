@@ -18,7 +18,7 @@
 //!   malformed frames, floods, and disconnects, then asserts no hang, no
 //!   dead workers, and exact stats-counter conservation.
 //!
-//! When a differential run fails, [`shrink`] greedily minimizes the
+//! When a differential run fails, [`mod@shrink`] greedily minimizes the
 //! failing graph to a small repro and [`shrink::dump`] prints it.
 //!
 //! Two run modes: a deterministic short mode wired into tier-1 CI, and a

@@ -4,7 +4,7 @@
 //! (possibly already decomposed) model graph and reduces the peak memory of
 //! its *internal tensors* while preserving semantics exactly. The pipeline:
 //!
-//! 1. [`decompose`] — replace convolutions by decomposed sequences
+//! 1. [`mod@decompose`] — replace convolutions by decomposed sequences
 //!    (`fconv → core(s) → lconv`), the setup step existing tensor
 //!    decomposition work performs (Section 2.1).
 //! 2. [`skipopt`] — the skip-connection optimization (Algorithms 1 and 2):

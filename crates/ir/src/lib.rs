@@ -12,9 +12,9 @@
 //!   fused operator TeMCO introduces,
 //! * shape inference ([`graph::Graph::infer_shapes`]),
 //! * the program-dependence-graph views Algorithm 1/2 traverse ([`pdg`]),
-//! * tensor liveness analysis ([`liveness`]),
+//! * tensor liveness analysis ([`mod@liveness`]),
 //! * a FLOPs cost model ([`cost`]),
-//! * a structural verifier ([`verify`]) and DOT export ([`dot`]).
+//! * a structural verifier ([`mod@verify`]) and DOT export ([`dot`]).
 
 pub mod cost;
 pub mod dot;

@@ -50,7 +50,7 @@ pub mod kind {
     /// member of batch `node` (the batch id). Duration is zero.
     pub const MEMBER: u32 = 10;
     /// A cause-labeled instant (reject, deadline expiry, shutdown,
-    /// panic); `node` is a [`cause`] code. Duration is zero.
+    /// panic); `node` is a [`super::cause`] code. Duration is zero.
     pub const EVENT: u32 = 11;
 
     /// Human label for a workspace kind (downstream kinds render as

@@ -519,7 +519,7 @@ fn pack(g: &Graph, lv: &Liveness, a: AliasAnalysis, scheds: Vec<NodeSchedule>) -
         .nodes
         .iter()
         .zip(&scheds)
-        .map(|(n, s)| crate::scratch::node_scratch_bytes_with(g, n, *s))
+        .map(|(n, s)| crate::scratch::node_scratch_bytes(g, n, *s))
         .collect();
     let scratch_bytes = node_scratch.iter().copied().max().unwrap_or(0);
     let scratch_offset = value_bytes.div_ceil(SCRATCH_ALIGN) * SCRATCH_ALIGN;
@@ -695,6 +695,13 @@ mod tests {
         for (pa, pb) in a.buffers.iter().zip(&b.buffers) {
             assert_eq!((pa.value, pa.offset, pa.bytes), (pb.value, pb.offset, pb.bytes));
         }
+        // The alias-free value region sits between the live peak (packing
+        // cannot beat physics) and the sum of every tensor (no reuse at all).
+        let off = plan_allocation_with_mode(&g, &temco_ir::liveness(&g), AliasMode::Off);
+        assert!(off.validate().is_empty());
+        let sum: usize = off.buffers.iter().map(|p| p.bytes).sum();
+        assert!(off.value_bytes >= off.peak_live_bytes);
+        assert!(off.value_bytes <= sum);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //!    tensor a fixed `(offset, size)` inside one contiguous slab from its
 //!    liveness interval (greedy best-fit packing).
 //! 2. **Allocate** — the executor makes exactly one allocation, the slab.
-//! 3. **Execute** — every kernel runs through its `_into` variant on views
+//! 3. **Execute** — every kernel runs through its `_into` entry point on views
 //!    into the slab; no per-node `Tensor` is ever allocated, so the
 //!    process's internal-tensor high-water mark *is* the slab size.
 //!
@@ -24,20 +24,19 @@ use std::time::Instant;
 use temco_ir::{liveness, Graph, Liveness, Op, PoolKind, ValueId};
 use temco_tensor::{
     add, add_n_assign_iter, add_n_into_iter, avg_pool2d, avg_pool2d_inplace, avg_pool2d_into,
-    concat_channels, concat_channels_into_iter, conv2d, conv2d_into_scratch_with, conv_transpose2d,
-    conv_transpose2d_into_scratch_with, global_avg_pool, global_avg_pool_inplace,
-    global_avg_pool_into, layer_norm, layer_norm_inplace, layer_norm_into, linear,
-    linear_into_scratch_with, matmul, matmul_into_scratch_with, max_pool2d, max_pool2d_inplace,
-    max_pool2d_into, merge_heads, merge_heads_into, softmax_lastdim, softmax_lastdim_inplace,
-    softmax_lastdim_into, split_heads, split_heads_into, Conv2dParams, Tensor, TensorView,
+    concat_channels, concat_channels_into_iter, conv2d, conv2d_into, conv_transpose2d,
+    conv_transpose2d_into, global_avg_pool, global_avg_pool_inplace, global_avg_pool_into,
+    layer_norm, layer_norm_inplace, layer_norm_into, linear, linear_into, matmul, matmul_into,
+    max_pool2d, max_pool2d_inplace, max_pool2d_into, merge_heads, merge_heads_into,
+    softmax_lastdim, softmax_lastdim_inplace, softmax_lastdim_into, split_heads, split_heads_into,
+    Conv2dParams, Tensor, TensorView,
 };
 
 use crate::alias::{AliasMode, NodeExec};
 use crate::alloc::{plan_allocation_with_mode, AllocationPlan};
-use crate::fused::{fused_forward, fused_forward_into_scratch_with};
-use crate::fused_tiled::fused_forward_tiled_into_scratch_with;
+use crate::fused::{fused_forward, fused_forward_into};
 use crate::memory::MemoryTracker;
-use crate::schedule::NodeSchedule;
+use crate::schedule::{FusedSchedule, NodeSchedule};
 
 /// How the executor obtains memory for internal tensors.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -504,7 +503,7 @@ pub(crate) unsafe fn run_node_on_slab(
                     // for exactly the schedule this node dispatches with.
                     debug_assert_eq!(
                         plan.node_scratch[i],
-                        crate::scratch::node_scratch_bytes_with(g, node, plan.node_schedule[i]),
+                        crate::scratch::node_scratch_bytes(g, node, plan.node_schedule[i]),
                         "node '{}' scratch reservation disagrees with its schedule",
                         node.name
                     );
@@ -526,7 +525,7 @@ pub(crate) unsafe fn run_node_on_slab(
     }
 }
 
-/// Dispatch one node's kernel through its `_into` variant. Kernels that
+/// Dispatch one node's kernel through its `_into` entry point. Kernels that
 /// need working memory receive `scratch` — the planner-reserved arena —
 /// so the hot path performs no allocation at all (the `Vec`s that used to
 /// gather `Add`/`Concat` operands are gone too: those kernels take
@@ -548,19 +547,11 @@ pub(crate) fn eval_into<'a>(
             let p =
                 Conv2dParams { stride: spec.stride, padding: spec.padding, groups: spec.groups };
             let bias = spec.bias.map(|b| g.weight(b).data());
-            conv2d_into_scratch_with(
-                arg(0),
-                g.weight(spec.weight),
-                bias,
-                &p,
-                out,
-                scratch,
-                sched.gemm(),
-            );
+            conv2d_into(arg(0), g.weight(spec.weight), bias, &p, out, scratch, sched.gemm());
         }
         Op::ConvTranspose2d { weight, bias, stride } => {
             let bias = bias.map(|b| g.weight(b).data());
-            conv_transpose2d_into_scratch_with(
+            conv_transpose2d_into(
                 arg(0),
                 g.weight(*weight),
                 bias,
@@ -601,57 +592,32 @@ pub(crate) fn eval_into<'a>(
         Op::Concat => concat_channels_into_iter(inputs.iter().map(|&v| view(v)), out),
         Op::Linear { weight, bias } => {
             let bias = bias.map(|b| g.weight(b).data());
-            linear_into_scratch_with(arg(0), g.weight(*weight), bias, out, scratch, sched.gemm());
+            linear_into(arg(0), g.weight(*weight), bias, out, scratch, sched.gemm());
         }
         // A flatten is a pure reinterpretation; in slab mode it degenerates
         // to one copy between the operand's region and the output's.
         Op::Flatten => out.copy_from_slice(arg(0).data()),
         Op::Softmax => softmax_lastdim_into(arg(0), out),
-        Op::MatMul { transpose_a, transpose_b } => matmul_into_scratch_with(
-            arg(0),
-            arg(1),
-            *transpose_a,
-            *transpose_b,
-            out,
-            scratch,
-            sched.gemm(),
-        ),
+        Op::MatMul { transpose_a, transpose_b } => {
+            matmul_into(arg(0), arg(1), *transpose_a, *transpose_b, out, scratch, sched.gemm())
+        }
         Op::LayerNorm { scale, bias, eps } => {
             layer_norm_into(arg(0), g.weight(*scale).data(), g.weight(*bias).data(), *eps, out)
         }
         Op::SplitHeads { heads } => split_heads_into(arg(0), *heads, out),
         Op::MergeHeads { heads } => merge_heads_into(arg(0), *heads, out),
-        Op::Fused(spec) => {
-            let f = sched.fused();
-            if f.tile > 0 {
-                fused_forward_tiled_into_scratch_with(
-                    arg(0),
-                    g.weight(spec.lconv_w),
-                    spec.lconv_b.map(|b| g.weight(b).data()),
-                    spec.act,
-                    spec.pool,
-                    spec.fconv.as_ref().map(|fc| g.weight(fc.weight)),
-                    spec.fconv.as_ref().and_then(|fc| fc.bias).map(|b| g.weight(b).data()),
-                    f.tile,
-                    out,
-                    scratch,
-                    f.slots_per_thread,
-                )
-            } else {
-                fused_forward_into_scratch_with(
-                    arg(0),
-                    g.weight(spec.lconv_w),
-                    spec.lconv_b.map(|b| g.weight(b).data()),
-                    spec.act,
-                    spec.pool,
-                    spec.fconv.as_ref().map(|fc| g.weight(fc.weight)),
-                    spec.fconv.as_ref().and_then(|fc| fc.bias).map(|b| g.weight(b).data()),
-                    out,
-                    scratch,
-                    f.slots_per_thread,
-                )
-            }
-        }
+        Op::Fused(spec) => fused_forward_into(
+            arg(0),
+            g.weight(spec.lconv_w),
+            spec.lconv_b.map(|b| g.weight(b).data()),
+            spec.act,
+            spec.pool,
+            spec.fconv.as_ref().map(|fc| g.weight(fc.weight)),
+            spec.fconv.as_ref().and_then(|fc| fc.bias).map(|b| g.weight(b).data()),
+            out,
+            scratch,
+            sched.fused(),
+        ),
     }
 }
 
@@ -786,6 +752,7 @@ fn eval(g: &Graph, op: &Op, inputs: &[ValueId], slots: &[Option<Tensor>]) -> Ten
             spec.pool,
             spec.fconv.as_ref().map(|fc| g.weight(fc.weight)),
             spec.fconv.as_ref().and_then(|fc| fc.bias).map(|b| g.weight(b).data()),
+            FusedSchedule::DEFAULT,
         ),
     }
 }

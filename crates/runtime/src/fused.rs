@@ -6,21 +6,89 @@
 //! one `(batch, output_row)` strip with a scratch buffer of
 //! `c_full × pool_stride × w` floats — the shared-memory tile of the GPU
 //! kernel — so peak memory is input (reduced) + output (reduced) + O(strip).
+//!
+//! Two kernel bodies compute the same function: the row-strip body here
+//! and the Listing-1-faithful cubic tiled body (`fused_tiled.rs`). A
+//! [`FusedSchedule`] picks one, and that choice is made in this module
+//! only: [`fused_forward_into`] runs the body and [`fused_scratch_breakdown`]
+//! sizes its scratch from the same schedule, so the planner's reservation
+//! and the kernel's partitioning cannot disagree.
 
 use rayon::prelude::*;
 use temco_ir::{ActKind, PoolKind};
 use temco_tensor::{conv_out_dim, with_tl_scratch, Tensor, TensorView};
+
+use crate::fused_tiled;
+use crate::schedule::FusedSchedule;
 
 /// Worker-slot count for a fused kernel with `jobs` independent work
 /// items: oversubscription of the thread count by `slots_per_thread` for
 /// load balancing, never more slots than jobs. Shared by the scratch-size
 /// formulas and the kernels so the planner reserves exactly what the
 /// kernel partitions, for *any* slots-per-thread value.
-pub(crate) fn fused_slots_with(jobs: usize, slots_per_thread: usize) -> usize {
+pub(crate) fn fused_slots(jobs: usize, slots_per_thread: usize) -> usize {
     jobs.min(rayon::current_num_threads() * slots_per_thread.max(1)).max(1)
 }
 
-/// Execute the fused kernel.
+/// The strip-vs-tile choice, made here and nowhere else: `Some(tile)`
+/// selects the cubic tiled body with that tile width, `None` the row-strip
+/// body.
+fn tiled_body(schedule: FusedSchedule) -> Option<usize> {
+    (schedule.tile > 0).then_some(schedule.tile)
+}
+
+/// How a fused kernel partitions its planner-reserved scratch: `slots`
+/// disjoint worker arenas of `per_slot_floats` floats each. The profiler
+/// reports this decomposition so a node's scratch bytes can be read as
+/// "N workers × strip size" rather than one opaque number.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ScratchBreakdown {
+    /// Worker-slot count: the thread count times the schedule's
+    /// `slots_per_thread`, capped at the number of jobs.
+    pub slots: usize,
+    /// Floats in one slot's arena (strip + pooled row + reduced row, or
+    /// the tiled body's staged tile + pooled tile + output tile).
+    pub per_slot_floats: usize,
+}
+
+impl ScratchBreakdown {
+    /// Total scratch floats: `slots × per_slot_floats`.
+    pub fn total_floats(&self) -> usize {
+        self.slots * self.per_slot_floats
+    }
+}
+
+/// Scratch decomposition of [`fused_forward_into`] under `schedule` for a
+/// fused node with the given geometry; its total is the floats the kernel
+/// needs. `pool` is `(kernel, stride)`; `has_fconv` mirrors whether the
+/// reducing 1×1 follows. The allocation planner calls this with the node's
+/// shapes and schedule, so the slab reserves exactly what the kernel
+/// partitions into per-slot arenas.
+#[allow(clippy::too_many_arguments)]
+pub fn fused_scratch_breakdown(
+    n: usize,
+    h: usize,
+    w: usize,
+    c_full: usize,
+    c_red_out: usize,
+    pool: Option<(usize, usize)>,
+    has_fconv: bool,
+    schedule: FusedSchedule,
+) -> ScratchBreakdown {
+    let spt = schedule.slots_per_thread;
+    if let Some(tile) = tiled_body(schedule) {
+        return fused_tiled::breakdown(n, h, w, c_full, c_red_out, pool, tile, has_fconv, spt);
+    }
+    let (oh, ow, pk) = match pool {
+        Some((k, s)) => (conv_out_dim(h, k, s, 0), conv_out_dim(w, k, s, 0), k),
+        None => (h, w, 1),
+    };
+    let per_slot = c_full * pk * w + c_full * ow + if has_fconv { c_red_out * ow } else { 0 };
+    ScratchBreakdown { slots: fused_slots(n * oh, spt), per_slot_floats: per_slot }
+}
+
+/// Execute the fused kernel under `schedule`, returning a fresh tensor;
+/// working memory comes from a reusable thread-local buffer.
 ///
 /// * `input`: reduced tensor `[n, c_red_in, h, w]` (the lconv's input);
 /// * `lconv_w`: `[c_full, c_red_in, 1, 1]`, restoring;
@@ -45,125 +113,47 @@ pub fn fused_forward(
     pool: Option<(PoolKind, usize, usize)>,
     fconv_w: Option<&Tensor>,
     fconv_b: Option<&[f32]>,
+    schedule: FusedSchedule,
 ) -> Tensor {
     let (n, h, w) = (input.dim(0), input.dim(2), input.dim(3));
-    let c_red_out = fconv_w.map_or(lconv_w.dim(0), |fw| fw.dim(0));
+    let c_full = lconv_w.dim(0);
+    let c_red_out = fconv_w.map_or(c_full, |fw| fw.dim(0));
     let (oh, ow) = match pool {
         Some((_, k, s)) => (conv_out_dim(h, k, s, 0), conv_out_dim(w, k, s, 0)),
         None => (h, w),
     };
     let mut out = Tensor::zeros(&[n, c_red_out, oh, ow]);
-    fused_forward_into(input.view(), lconv_w, lconv_b, act, pool, fconv_w, fconv_b, out.data_mut());
+    let geometry = pool.map(|(_, k, s)| (k, s));
+    let floats =
+        fused_scratch_breakdown(n, h, w, c_full, c_red_out, geometry, fconv_w.is_some(), schedule)
+            .total_floats();
+    with_tl_scratch(floats, |scratch| {
+        fused_forward_into(
+            input.view(),
+            lconv_w,
+            lconv_b,
+            act,
+            pool,
+            fconv_w,
+            fconv_b,
+            out.data_mut(),
+            scratch,
+            schedule,
+        );
+    });
     out
 }
 
-/// How a fused kernel partitions its planner-reserved scratch: `slots`
-/// disjoint worker arenas of `per_slot_floats` floats each. The profiler
-/// reports this decomposition so a node's scratch bytes can be read as
-/// "N workers × strip size" rather than one opaque number.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ScratchBreakdown {
-    /// Worker-slot count (see [`fused_slots_with`]).
-    pub slots: usize,
-    /// Floats in one slot's arena (strip + pooled row + reduced row).
-    pub per_slot_floats: usize,
-}
-
-impl ScratchBreakdown {
-    /// Total scratch floats: `slots × per_slot_floats`.
-    pub fn total_floats(&self) -> usize {
-        self.slots * self.per_slot_floats
-    }
-}
-
-/// Scratch decomposition of [`fused_forward_into_scratch`] for a fused
-/// node with the given geometry. `pool` is `(kernel, stride)`;
-/// `has_fconv` mirrors whether the reducing 1×1 follows.
-pub fn fused_scratch_breakdown(
-    n: usize,
-    h: usize,
-    w: usize,
-    c_full: usize,
-    c_red_out: usize,
-    pool: Option<(usize, usize)>,
-    has_fconv: bool,
-) -> ScratchBreakdown {
-    fused_scratch_breakdown_with(
-        n,
-        h,
-        w,
-        c_full,
-        c_red_out,
-        pool,
-        has_fconv,
-        crate::schedule::FusedSchedule::DEFAULT.slots_per_thread,
-    )
-}
-
-/// [`fused_scratch_breakdown`] with an explicit slots-per-thread factor.
-#[allow(clippy::too_many_arguments)]
-pub fn fused_scratch_breakdown_with(
-    n: usize,
-    h: usize,
-    w: usize,
-    c_full: usize,
-    c_red_out: usize,
-    pool: Option<(usize, usize)>,
-    has_fconv: bool,
-    slots_per_thread: usize,
-) -> ScratchBreakdown {
-    let (oh, ow, pk) = match pool {
-        Some((k, s)) => (conv_out_dim(h, k, s, 0), conv_out_dim(w, k, s, 0), k),
-        None => (h, w, 1),
-    };
-    let per_slot = c_full * pk * w + c_full * ow + if has_fconv { c_red_out * ow } else { 0 };
-    ScratchBreakdown {
-        slots: fused_slots_with(n * oh, slots_per_thread),
-        per_slot_floats: per_slot,
-    }
-}
-
-/// Scratch floats [`fused_forward_into_scratch`] needs for a fused node
-/// with the given geometry — [`fused_scratch_breakdown`] collapsed to its
-/// total. The allocation planner calls this with the node's shapes so the
-/// slab reserves exactly what the kernel partitions into per-slot arenas.
-pub fn fused_scratch_floats(
-    n: usize,
-    h: usize,
-    w: usize,
-    c_full: usize,
-    c_red_out: usize,
-    pool: Option<(usize, usize)>,
-    has_fconv: bool,
-) -> usize {
-    fused_scratch_breakdown(n, h, w, c_full, c_red_out, pool, has_fconv).total_floats()
-}
-
-/// [`fused_scratch_floats`] with an explicit slots-per-thread factor.
-#[allow(clippy::too_many_arguments)]
-pub fn fused_scratch_floats_with(
-    n: usize,
-    h: usize,
-    w: usize,
-    c_full: usize,
-    c_red_out: usize,
-    pool: Option<(usize, usize)>,
-    has_fconv: bool,
-    slots_per_thread: usize,
-) -> usize {
-    fused_scratch_breakdown_with(n, h, w, c_full, c_red_out, pool, has_fconv, slots_per_thread)
-        .total_floats()
-}
-
-/// [`fused_forward`] writing into a preallocated output buffer: each worker
-/// computes its `(batch, output-row)` strip and scatters it straight into
-/// the planned output slot, so the collect-then-copy of the allocating form
-/// disappears along with the per-node output allocation. Strip/pooled/row
-/// buffers come from thread-local scratch; for the zero-allocation path use
-/// [`fused_forward_into_scratch`] with planner-reserved memory.
+/// [`fused_forward`] writing into a preallocated output buffer with
+/// caller-provided working memory — the slab executor's entry point.
+///
+/// `scratch` must hold at least [`fused_scratch_breakdown`]`(…, schedule)`
+/// total floats; it is partitioned into per-worker-slot arenas, so the
+/// kernel performs no allocation at all. Each worker scatters its finished
+/// strip (or tile) straight into the planned output slot.
 ///
 /// # Panics
-/// Panics on channel mismatches or if `out` has the wrong length.
+/// Panics on channel mismatches, wrong `out` length, or short `scratch`.
 #[allow(clippy::too_many_arguments)]
 pub fn fused_forward_into(
     input: TensorView<'_>,
@@ -174,68 +164,23 @@ pub fn fused_forward_into(
     fconv_w: Option<&Tensor>,
     fconv_b: Option<&[f32]>,
     out: &mut [f32],
-) {
-    let (n, h, w) = (input.dim(0), input.dim(2), input.dim(3));
-    let c_full = lconv_w.dim(0);
-    let c_red_out = fconv_w.map_or(c_full, |fw| fw.dim(0));
-    let floats = fused_scratch_floats(
-        n,
-        h,
-        w,
-        c_full,
-        c_red_out,
-        pool.map(|(_, k, s)| (k, s)),
-        fconv_w.is_some(),
-    );
-    with_tl_scratch(floats, |scratch| {
-        fused_forward_into_scratch(
-            input, lconv_w, lconv_b, act, pool, fconv_w, fconv_b, out, scratch,
-        );
-    });
-}
-
-/// [`fused_forward_into`] with caller-provided working memory.
-///
-/// `scratch` must hold at least [`fused_scratch_floats`] floats for this
-/// geometry; it is partitioned into per-worker-slot arenas (strip, pooled
-/// row, reduced row) so the kernel performs no allocation at all.
-///
-/// # Panics
-/// Panics on channel mismatches, wrong `out` length, or short `scratch`.
-#[allow(clippy::too_many_arguments)]
-pub fn fused_forward_into_scratch(
-    input: TensorView<'_>,
-    lconv_w: &Tensor,
-    lconv_b: Option<&[f32]>,
-    act: ActKind,
-    pool: Option<(PoolKind, usize, usize)>,
-    fconv_w: Option<&Tensor>,
-    fconv_b: Option<&[f32]>,
-    out: &mut [f32],
     scratch: &mut [f32],
+    schedule: FusedSchedule,
 ) {
-    fused_forward_into_scratch_with(
-        input,
-        lconv_w,
-        lconv_b,
-        act,
-        pool,
-        fconv_w,
-        fconv_b,
-        out,
-        scratch,
-        crate::schedule::FusedSchedule::DEFAULT.slots_per_thread,
-    );
+    let spt = schedule.slots_per_thread;
+    match tiled_body(schedule) {
+        Some(tile) => fused_tiled::forward(
+            input, lconv_w, lconv_b, act, pool, fconv_w, fconv_b, tile, out, scratch, spt,
+        ),
+        None => {
+            strip_forward(input, lconv_w, lconv_b, act, pool, fconv_w, fconv_b, out, scratch, spt)
+        }
+    }
 }
 
-/// [`fused_forward_into_scratch`] with an explicit slots-per-thread
-/// factor; scratch must hold [`fused_scratch_floats_with`] floats for the
-/// *same* factor.
-///
-/// # Panics
-/// Panics on channel mismatches, wrong `out` length, or short `scratch`.
+/// The row-strip body: one work item per `(batch, pooled output row)`.
 #[allow(clippy::too_many_arguments)]
-pub fn fused_forward_into_scratch_with(
+fn strip_forward(
     input: TensorView<'_>,
     lconv_w: &Tensor,
     lconv_b: Option<&[f32]>,
@@ -282,7 +227,7 @@ pub fn fused_forward_into_scratch_with(
     let pooled_f = c_full * ow;
     let row_f = if fw.is_some() { c_red_out * ow } else { 0 };
     let per_slot = strip_f + pooled_f + row_f;
-    let slots = fused_slots_with(jobs, slots_per_thread);
+    let slots = fused_slots(jobs, slots_per_thread);
     assert!(
         scratch.len() >= slots * per_slot,
         "fused scratch: need {} floats, got {}",
@@ -414,12 +359,6 @@ impl SyncPtr {
     }
 }
 
-/// Scratch bytes one worker strip uses — reported by ablation benches to
-/// show the fused kernel's footprint is O(strip), not O(tensor).
-pub fn strip_scratch_bytes(c_full: usize, pool_stride: usize, width: usize) -> usize {
-    (c_full * pool_stride * width + c_full * width) * std::mem::size_of::<f32>()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -453,7 +392,16 @@ mod tests {
         let x = Tensor::randn(&[2, 3, 6, 7], 1);
         let lw = Tensor::randn(&[10, 3, 1, 1], 2);
         let fw = Tensor::randn(&[4, 10, 1, 1], 3);
-        let got = fused_forward(&x, &lw, None, ActKind::Relu, None, Some(&fw), None);
+        let got = fused_forward(
+            &x,
+            &lw,
+            None,
+            ActKind::Relu,
+            None,
+            Some(&fw),
+            None,
+            FusedSchedule::DEFAULT,
+        );
         let want = reference(&x, &lw, None, ActKind::Relu, None, Some(&fw), None);
         assert!(got.all_close(&want, 1e-4), "diff {}", got.max_abs_diff(&want));
     }
@@ -465,7 +413,16 @@ mod tests {
         let lb: Vec<f32> = (0..8).map(|i| i as f32 * 0.3 - 1.0).collect();
         let fw = Tensor::randn(&[3, 8, 1, 1], 6);
         let fb = [0.5f32, -0.25, 1.0];
-        let got = fused_forward(&x, &lw, Some(&lb), ActKind::Silu, None, Some(&fw), Some(&fb));
+        let got = fused_forward(
+            &x,
+            &lw,
+            Some(&lb),
+            ActKind::Silu,
+            None,
+            Some(&fw),
+            Some(&fb),
+            FusedSchedule::DEFAULT,
+        );
         let want = reference(&x, &lw, Some(&lb), ActKind::Silu, None, Some(&fw), Some(&fb));
         assert!(got.all_close(&want, 1e-4), "diff {}", got.max_abs_diff(&want));
     }
@@ -476,7 +433,16 @@ mod tests {
         let lw = Tensor::randn(&[12, 4, 1, 1], 8);
         let fw = Tensor::randn(&[5, 12, 1, 1], 9);
         let pool = Some((PoolKind::Max, 2, 2));
-        let got = fused_forward(&x, &lw, None, ActKind::Relu, pool, Some(&fw), None);
+        let got = fused_forward(
+            &x,
+            &lw,
+            None,
+            ActKind::Relu,
+            pool,
+            Some(&fw),
+            None,
+            FusedSchedule::DEFAULT,
+        );
         let want = reference(&x, &lw, None, ActKind::Relu, pool, Some(&fw), None);
         assert_eq!(got.shape(), &[2, 5, 4, 4]);
         assert!(got.all_close(&want, 1e-4), "diff {}", got.max_abs_diff(&want));
@@ -488,7 +454,16 @@ mod tests {
         let lw = Tensor::randn(&[9, 6, 1, 1], 11);
         let fw = Tensor::randn(&[2, 9, 1, 1], 12);
         let pool = Some((PoolKind::Avg, 2, 2));
-        let got = fused_forward(&x, &lw, None, ActKind::Sigmoid, pool, Some(&fw), None);
+        let got = fused_forward(
+            &x,
+            &lw,
+            None,
+            ActKind::Sigmoid,
+            pool,
+            Some(&fw),
+            None,
+            FusedSchedule::DEFAULT,
+        );
         let want = reference(&x, &lw, None, ActKind::Sigmoid, pool, Some(&fw), None);
         assert!(got.all_close(&want, 1e-4), "diff {}", got.max_abs_diff(&want));
     }
@@ -500,7 +475,16 @@ mod tests {
         let lw = Tensor::randn(&[4, 2, 1, 1], 14);
         let fw = Tensor::randn(&[2, 4, 1, 1], 15);
         let pool = Some((PoolKind::Max, 2, 2));
-        let got = fused_forward(&x, &lw, None, ActKind::Relu, pool, Some(&fw), None);
+        let got = fused_forward(
+            &x,
+            &lw,
+            None,
+            ActKind::Relu,
+            pool,
+            Some(&fw),
+            None,
+            FusedSchedule::DEFAULT,
+        );
         let want = reference(&x, &lw, None, ActKind::Relu, pool, Some(&fw), None);
         assert_eq!(got.shape(), &[1, 2, 3, 3]);
         assert!(got.all_close(&want, 1e-4));
@@ -508,9 +492,18 @@ mod tests {
 
     #[test]
     fn scratch_is_strip_sized() {
-        // 512 full channels, stride-2 pool, width 224: ~1.3 MiB per worker —
+        // 512 full channels, stride-2 pool, width 224: ~1.1 MiB per worker —
         // versus 512·224·224·4 ≈ 98 MiB for the materialized intermediate.
-        let scratch = strip_scratch_bytes(512, 2, 224);
-        assert!(scratch < 2 * 1024 * 1024);
+        let bd = fused_scratch_breakdown(
+            1,
+            224,
+            224,
+            512,
+            512,
+            Some((2, 2)),
+            false,
+            FusedSchedule::DEFAULT,
+        );
+        assert!(bd.per_slot_floats * std::mem::size_of::<f32>() < 2 * 1024 * 1024);
     }
 }

@@ -1,54 +1,31 @@
-//! A Listing-1-faithful 3-D tiled variant of the fused kernel.
+//! The Listing-1-faithful 3-D tiled body of the fused kernel.
 //!
-//! [`crate::fused::fused_forward`] parallelizes over `(batch, output-row)`
-//! strips, which suits CPUs. The paper's CUDA kernel (Listing 1) instead
-//! tiles the `(C', H', W')` iteration space with cubic `T×T×T` tiles and
-//! stages operands through shared memory. This module reproduces that
-//! exact blocking on the CPU so the tile-size trade-off the paper's kernel
-//! embodies can be measured (`cargo bench -p temco-bench --bench
-//! fused_kernel`): small tiles bound scratch but repeat the `lconv`
-//! reduction more often; large tiles amortize it at larger scratch.
+//! The strip body in [`crate::fused`] parallelizes over `(batch,
+//! output-row)` strips, which suits CPUs. The paper's CUDA kernel
+//! (Listing 1) instead tiles the `(C', H', W')` iteration space with cubic
+//! `T×T×T` tiles and stages operands through shared memory. This body
+//! reproduces that exact blocking on the CPU so the tile-size trade-off
+//! the paper's kernel embodies can be measured (`cargo bench -p
+//! temco-bench --bench fused_kernel`): small tiles bound scratch but repeat
+//! the `lconv` reduction more often; large tiles amortize it at larger
+//! scratch.
 //!
-//! Semantics are identical to `fused_forward`; the property tests assert
-//! agreement between the two and against the unfused reference.
+//! Private to the crate: a `FusedSchedule` with a positive `tile` selects it
+//! through [`crate::fused::fused_forward_into`], and
+//! [`crate::fused::fused_scratch_breakdown`] sizes its scratch. Semantics
+//! are identical to the strip body; the tests assert agreement between the
+//! two and against the unfused reference.
 
 use rayon::prelude::*;
 use temco_ir::{ActKind, PoolKind};
-use temco_tensor::{conv_out_dim, with_tl_scratch, Tensor, TensorView};
+use temco_tensor::{conv_out_dim, Tensor, TensorView};
 
-use crate::fused::{fused_slots_with, ScratchBreakdown, SyncPtr};
-use crate::schedule::FusedSchedule;
+use crate::fused::{fused_slots, ScratchBreakdown, SyncPtr};
 
-/// Scratch decomposition of [`fused_forward_tiled_into_scratch`]: worker
-/// slots × the largest tile's staging arena (edge tiles use prefixes).
+/// Scratch decomposition of [`forward`]: worker slots × the largest
+/// tile's staging arena (edge tiles use prefixes).
 #[allow(clippy::too_many_arguments)]
-pub fn fused_tiled_scratch_breakdown(
-    n: usize,
-    h: usize,
-    w: usize,
-    c_full: usize,
-    c_out: usize,
-    pool: Option<(usize, usize)>,
-    tile: usize,
-    has_fconv: bool,
-) -> ScratchBreakdown {
-    fused_tiled_scratch_breakdown_with(
-        n,
-        h,
-        w,
-        c_full,
-        c_out,
-        pool,
-        tile,
-        has_fconv,
-        FusedSchedule::DEFAULT.slots_per_thread,
-    )
-}
-
-/// [`fused_tiled_scratch_breakdown`] with an explicit slots-per-thread
-/// factor.
-#[allow(clippy::too_many_arguments)]
-pub fn fused_tiled_scratch_breakdown_with(
+pub(crate) fn breakdown(
     n: usize,
     h: usize,
     w: usize,
@@ -59,7 +36,6 @@ pub fn fused_tiled_scratch_breakdown_with(
     has_fconv: bool,
     slots_per_thread: usize,
 ) -> ScratchBreakdown {
-    let tile = tile.max(1);
     let (oh, ow, pk, ps) = match pool {
         Some((k, s)) => (conv_out_dim(h, k, s, 0), conv_out_dim(w, k, s, 0), k, s),
         None => (h, w, 1, 1),
@@ -73,179 +49,23 @@ pub fn fused_tiled_scratch_breakdown_with(
     let per_slot = c_full * ih_max * iw_max
         + c_full * th_max * tw_max
         + if has_fconv { tile.min(c_out) * th_max * tw_max } else { 0 };
-    ScratchBreakdown { slots: fused_slots_with(jobs, slots_per_thread), per_slot_floats: per_slot }
+    ScratchBreakdown { slots: fused_slots(jobs, slots_per_thread), per_slot_floats: per_slot }
 }
 
-/// Scratch floats [`fused_forward_tiled_into_scratch`] needs —
-/// [`fused_tiled_scratch_breakdown`] collapsed to its total.
-#[allow(clippy::too_many_arguments)]
-pub fn fused_tiled_scratch_floats(
-    n: usize,
-    h: usize,
-    w: usize,
-    c_full: usize,
-    c_out: usize,
-    pool: Option<(usize, usize)>,
-    tile: usize,
-    has_fconv: bool,
-) -> usize {
-    fused_tiled_scratch_breakdown(n, h, w, c_full, c_out, pool, tile, has_fconv).total_floats()
-}
-
-/// [`fused_tiled_scratch_floats`] with an explicit slots-per-thread
-/// factor.
-#[allow(clippy::too_many_arguments)]
-pub fn fused_tiled_scratch_floats_with(
-    n: usize,
-    h: usize,
-    w: usize,
-    c_full: usize,
-    c_out: usize,
-    pool: Option<(usize, usize)>,
-    tile: usize,
-    has_fconv: bool,
-    slots_per_thread: usize,
-) -> usize {
-    fused_tiled_scratch_breakdown_with(
-        n,
-        h,
-        w,
-        c_full,
-        c_out,
-        pool,
-        tile,
-        has_fconv,
-        slots_per_thread,
-    )
-    .total_floats()
-}
-
-/// Execute the fused chain with cubic tiling of the output space.
+/// Execute the fused chain with cubic tiling of the output space into a
+/// preallocated output buffer.
 ///
-/// Arguments mirror [`crate::fused::fused_forward`]; `tile` is the paper's
-/// `T` (clamped to ≥ 1). Output tiles are `tile` output channels ×
+/// Arguments mirror [`crate::fused::fused_forward_into`]; `tile` is the
+/// paper's `T` (positive). Output tiles are `tile` output channels ×
 /// `tile × tile` output pixels; each worker stages the pre-pool full-width
-/// activations for its spatial tile in scratch, exactly like the
-/// shared-memory `tile[]` of Listing 1.
-///
-/// # Panics
-/// Panics on channel mismatches.
-#[allow(clippy::too_many_arguments)]
-pub fn fused_forward_tiled(
-    input: &Tensor,
-    lconv_w: &Tensor,
-    lconv_b: Option<&[f32]>,
-    act: ActKind,
-    pool: Option<(PoolKind, usize, usize)>,
-    fconv_w: Option<&Tensor>,
-    fconv_b: Option<&[f32]>,
-    tile: usize,
-) -> Tensor {
-    let (n, h, w) = (input.dim(0), input.dim(2), input.dim(3));
-    let c_out = fconv_w.map_or(lconv_w.dim(0), |fw| fw.dim(0));
-    let (oh, ow) = match pool {
-        Some((_, k, s)) => (conv_out_dim(h, k, s, 0), conv_out_dim(w, k, s, 0)),
-        None => (h, w),
-    };
-    let mut out = Tensor::zeros(&[n, c_out, oh, ow]);
-    fused_forward_tiled_into(
-        input.view(),
-        lconv_w,
-        lconv_b,
-        act,
-        pool,
-        fconv_w,
-        fconv_b,
-        tile,
-        out.data_mut(),
-    );
-    out
-}
-
-/// [`fused_forward_tiled`] writing into a preallocated output buffer: each
-/// tile job scatters its finished `T×T×T` block straight into the planned
-/// output slot instead of staging all tiles for a sequential copy. Tile
-/// staging buffers come from thread-local scratch; for the zero-allocation
-/// path use [`fused_forward_tiled_into_scratch`].
-///
-/// # Panics
-/// Panics on channel mismatches or if `out` has the wrong length.
-#[allow(clippy::too_many_arguments)]
-pub fn fused_forward_tiled_into(
-    input: TensorView<'_>,
-    lconv_w: &Tensor,
-    lconv_b: Option<&[f32]>,
-    act: ActKind,
-    pool: Option<(PoolKind, usize, usize)>,
-    fconv_w: Option<&Tensor>,
-    fconv_b: Option<&[f32]>,
-    tile: usize,
-    out: &mut [f32],
-) {
-    let (n, h, w) = (input.dim(0), input.dim(2), input.dim(3));
-    let c_full = lconv_w.dim(0);
-    let c_out = fconv_w.map_or(c_full, |fw| fw.dim(0));
-    let floats = fused_tiled_scratch_floats(
-        n,
-        h,
-        w,
-        c_full,
-        c_out,
-        pool.map(|(_, k, s)| (k, s)),
-        tile,
-        fconv_w.is_some(),
-    );
-    with_tl_scratch(floats, |scratch| {
-        fused_forward_tiled_into_scratch(
-            input, lconv_w, lconv_b, act, pool, fconv_w, fconv_b, tile, out, scratch,
-        );
-    });
-}
-
-/// [`fused_forward_tiled_into`] with caller-provided working memory.
-///
-/// `scratch` must hold at least [`fused_tiled_scratch_floats`] floats for
-/// this geometry; it is partitioned into per-worker-slot staging arenas so
-/// the kernel performs no allocation at all.
+/// activations for its spatial tile in its slot of `scratch`, exactly like
+/// the shared-memory `tile[]` of Listing 1, and scatters the finished
+/// block straight into `out`. `scratch` must hold [`breakdown`]'s total.
 ///
 /// # Panics
 /// Panics on channel mismatches, wrong `out` length, or short `scratch`.
 #[allow(clippy::too_many_arguments)]
-pub fn fused_forward_tiled_into_scratch(
-    input: TensorView<'_>,
-    lconv_w: &Tensor,
-    lconv_b: Option<&[f32]>,
-    act: ActKind,
-    pool: Option<(PoolKind, usize, usize)>,
-    fconv_w: Option<&Tensor>,
-    fconv_b: Option<&[f32]>,
-    tile: usize,
-    out: &mut [f32],
-    scratch: &mut [f32],
-) {
-    fused_forward_tiled_into_scratch_with(
-        input,
-        lconv_w,
-        lconv_b,
-        act,
-        pool,
-        fconv_w,
-        fconv_b,
-        tile,
-        out,
-        scratch,
-        FusedSchedule::DEFAULT.slots_per_thread,
-    );
-}
-
-/// [`fused_forward_tiled_into_scratch`] with an explicit slots-per-thread
-/// factor; scratch must hold [`fused_tiled_scratch_floats_with`] floats
-/// for the *same* factor.
-///
-/// # Panics
-/// Panics on channel mismatches, wrong `out` length, or short `scratch`.
-#[allow(clippy::too_many_arguments)]
-pub fn fused_forward_tiled_into_scratch_with(
+pub(crate) fn forward(
     input: TensorView<'_>,
     lconv_w: &Tensor,
     lconv_b: Option<&[f32]>,
@@ -258,7 +78,6 @@ pub fn fused_forward_tiled_into_scratch_with(
     scratch: &mut [f32],
     slots_per_thread: usize,
 ) {
-    let tile = tile.max(1);
     let (n, c_red_in, h, w) = (input.dim(0), input.dim(1), input.dim(2), input.dim(3));
     let c_full = lconv_w.dim(0);
     assert_eq!(lconv_w.dim(1), c_red_in, "tiled fused kernel: lconv input channels");
@@ -298,7 +117,7 @@ pub fn fused_forward_tiled_into_scratch_with(
     let pooled_max = c_full * th_max * tw_max;
     let out_tile_max = if fw.is_some() { tile.min(c_out) * th_max * tw_max } else { 0 };
     let per_slot = staged_max + pooled_max + out_tile_max;
-    let slots = fused_slots_with(jobs, slots_per_thread);
+    let slots = fused_slots(jobs, slots_per_thread);
     assert!(
         scratch.len() >= slots * per_slot,
         "tiled fused scratch: need {} floats, got {}",
@@ -429,22 +248,15 @@ pub fn fused_forward_tiled_into_scratch_with(
     });
 }
 
-/// Scratch bytes one tile job stages (the `T×T×T` shared-memory budget of
-/// Listing 1, generalized to the full channel width this CPU port stages).
-pub fn tile_scratch_bytes(
-    c_full: usize,
-    tile: usize,
-    pool_stride: usize,
-    pool_kernel: usize,
-) -> usize {
-    let side = (tile - 1) * pool_stride + pool_kernel;
-    c_full * side * side * std::mem::size_of::<f32>()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fused::fused_forward;
+    use crate::fused::{fused_forward, fused_scratch_breakdown};
+    use crate::schedule::FusedSchedule;
+
+    fn tiled(tile: usize) -> FusedSchedule {
+        FusedSchedule { tile, ..FusedSchedule::DEFAULT }
+    }
 
     fn agree(tile: usize, pool: Option<(PoolKind, usize, usize)>, act: ActKind, seed: u64) {
         let x = Tensor::randn(&[2, 3, 9, 11], seed);
@@ -452,8 +264,8 @@ mod tests {
         let lb: Vec<f32> = (0..10).map(|i| i as f32 * 0.1).collect();
         let fw = Tensor::randn(&[4, 10, 1, 1], seed ^ 2);
         let fb = [0.5f32, -0.5, 0.25, 0.0];
-        let a = fused_forward(&x, &lw, Some(&lb), act, pool, Some(&fw), Some(&fb));
-        let b = fused_forward_tiled(&x, &lw, Some(&lb), act, pool, Some(&fw), Some(&fb), tile);
+        let run = |s| fused_forward(&x, &lw, Some(&lb), act, pool, Some(&fw), Some(&fb), s);
+        let (a, b) = (run(FusedSchedule::DEFAULT), run(tiled(tile)));
         assert_eq!(a.shape(), b.shape());
         assert!(a.all_close(&b, 1e-4), "tile {tile} pool {pool:?}: diff {}", a.max_abs_diff(&b));
     }
@@ -484,16 +296,18 @@ mod tests {
     fn restore_form_without_fconv() {
         let x = Tensor::randn(&[1, 2, 6, 6], 3);
         let lw = Tensor::randn(&[8, 2, 1, 1], 4);
-        let a = fused_forward(&x, &lw, None, ActKind::Tanh, None, None, None);
-        let b = fused_forward_tiled(&x, &lw, None, ActKind::Tanh, None, None, None, 3);
+        let run = |s| fused_forward(&x, &lw, None, ActKind::Tanh, None, None, None, s);
+        let (a, b) = (run(FusedSchedule::DEFAULT), run(tiled(3)));
         assert!(a.all_close(&b, 1e-4));
         assert_eq!(b.shape(), &[1, 8, 6, 6]);
     }
 
     #[test]
     fn scratch_grows_quadratically_with_tile() {
-        let small = tile_scratch_bytes(64, 2, 2, 2);
-        let big = tile_scratch_bytes(64, 8, 2, 2);
-        assert!(big > 10 * small);
+        let per_slot = |tile| {
+            fused_scratch_breakdown(1, 64, 64, 64, 64, Some((2, 2)), false, tiled(tile))
+                .per_slot_floats
+        };
+        assert!(per_slot(8) > 10 * per_slot(2));
     }
 }

@@ -12,8 +12,10 @@
 //!   and 10) run at full 224×224 ImageNet scale on CPU.
 //! * [`fused`] — the CPU analogue of the paper's CUDA fused kernels
 //!   (Listing 1): `lconv → activation (→ pool) → fconv` computed strip by
-//!   strip with O(strip) scratch, rayon-parallel over batch × output rows.
-//!   The full-channel intermediate never exists as an allocated tensor.
+//!   strip (or in Listing 1's cubic tiles, when the node's
+//!   [`FusedSchedule`] asks for them) with O(strip) scratch, rayon-parallel
+//!   over batch × output rows. The full-channel intermediate never exists
+//!   as an allocated tensor.
 //! * [`alloc`] — the static offset allocator: packs every internal tensor's
 //!   liveness interval into one contiguous slab (greedy best-fit) and
 //!   appends a shared kernel-scratch arena sized by [`scratch`], so the
@@ -30,11 +32,10 @@
 
 pub mod alias;
 pub mod alloc;
-pub mod arena;
 pub mod engine;
 pub mod executor;
 pub mod fused;
-pub mod fused_tiled;
+mod fused_tiled;
 pub mod memory;
 pub mod planner;
 pub mod profile;
@@ -47,26 +48,13 @@ pub use alloc::{
     plan_allocation_with_schedules, AllocationPlan, FragmentationReport, PlannedBuffer,
     SCRATCH_ALIGN,
 };
-pub use arena::{plan_arena, validate_arena, ArenaPlan, Placement};
 pub use engine::{CompiledGraph, Engine};
 pub use executor::{execute, ExecError, ExecMode, ExecOptions, ExecResult};
-pub use fused::{
-    fused_forward, fused_forward_into, fused_forward_into_scratch, fused_forward_into_scratch_with,
-    fused_scratch_breakdown, fused_scratch_breakdown_with, fused_scratch_floats,
-    fused_scratch_floats_with, ScratchBreakdown,
-};
-pub use fused_tiled::{
-    fused_forward_tiled, fused_forward_tiled_into, fused_forward_tiled_into_scratch,
-    fused_forward_tiled_into_scratch_with, fused_tiled_scratch_breakdown,
-    fused_tiled_scratch_breakdown_with, fused_tiled_scratch_floats,
-    fused_tiled_scratch_floats_with,
-};
+pub use fused::{fused_forward, fused_forward_into, fused_scratch_breakdown, ScratchBreakdown};
 pub use memory::{MemEvent, MemoryTracker};
 pub use planner::{plan_memory, skip_share_at_peak, MemoryPlan, StepMem};
 pub use profile::{
     engine_report, engine_trace_json, node_high_water_bytes, node_scratch_breakdown, op_label,
 };
 pub use schedule::{FusedSchedule, GemmSchedule, NodeSchedule};
-pub use scratch::{
-    node_scratch_bytes, node_scratch_bytes_with, node_scratch_floats, node_scratch_floats_with,
-};
+pub use scratch::node_scratch_bytes;

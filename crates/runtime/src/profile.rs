@@ -21,6 +21,7 @@ use temco_obs::{chrome_trace, kind, EngineReport, NodeStat, Recorder};
 use crate::alloc::AllocationPlan;
 use crate::engine::CompiledGraph;
 use crate::fused::{fused_scratch_breakdown, ScratchBreakdown};
+use crate::schedule::NodeSchedule;
 
 /// Short label for a node's op kind, used in report rollups and trace
 /// categories.
@@ -64,10 +65,16 @@ pub fn node_high_water_bytes(g: &Graph, plan: &AllocationPlan, i: usize) -> usiz
     hw
 }
 
-/// How a fused node's kernel partitions its scratch (worker slots × strip
-/// floats), or `None` for non-fused nodes. The total always equals the
-/// plan's `node_scratch` entry for the node.
-pub fn node_scratch_breakdown(g: &Graph, node: &Node) -> Option<ScratchBreakdown> {
+/// How a fused node's kernel partitions its scratch under `sched` (worker
+/// slots × strip or tile floats), or `None` for non-fused nodes. Pass the
+/// plan's `node_schedule` entry: the total then equals the plan's
+/// `node_scratch` entry for the node, because the planner sizes fused
+/// scratch with this very function.
+pub fn node_scratch_breakdown(
+    g: &Graph,
+    node: &Node,
+    sched: NodeSchedule,
+) -> Option<ScratchBreakdown> {
     match &node.op {
         Op::Fused(spec) => {
             let s = g.shape(node.inputs[0]);
@@ -81,6 +88,7 @@ pub fn node_scratch_breakdown(g: &Graph, node: &Node) -> Option<ScratchBreakdown
                 c_red_out,
                 spec.pool.map(|(_, k, st)| (k, st)),
                 spec.fconv.is_some(),
+                sched.fused(),
             ))
         }
         _ => None,
@@ -253,9 +261,13 @@ mod tests {
 
     #[test]
     fn fused_breakdown_totals_match_the_planner() {
+        use crate::schedule::FusedSchedule;
         use temco_ir::{ActKind, FconvSpec, FusedSpec, PoolKind};
         let g = small_cnn();
-        assert!(g.nodes.iter().all(|n| node_scratch_breakdown(&g, n).is_none()));
+        assert!(g
+            .nodes
+            .iter()
+            .all(|n| node_scratch_breakdown(&g, n, NodeSchedule::Default).is_none()));
 
         let mut g = Graph::new();
         let x = g.input(&[2, 4, 8, 8], "x");
@@ -274,12 +286,33 @@ mod tests {
         );
         g.mark_output(f);
         g.infer_shapes();
-        let plan = crate::alloc::plan_allocation(&g);
         let (i, node) =
             g.nodes.iter().enumerate().find(|(_, n)| matches!(n.op, Op::Fused(_))).unwrap();
-        let bd = node_scratch_breakdown(&g, node).unwrap();
-        assert!(bd.slots > 0 && bd.per_slot_floats > 0);
-        // The breakdown is exactly the planner's reservation, decomposed.
-        assert_eq!(bd.total_floats() * std::mem::size_of::<f32>(), plan.node_scratch[i]);
+        let lv = temco_ir::liveness(&g);
+        // The default strip body, a tuned tiled body, and a strip body with
+        // a non-default oversubscription: in every case the breakdown is
+        // exactly the planner's reservation, decomposed.
+        for sched in [
+            NodeSchedule::Default,
+            NodeSchedule::Fused(FusedSchedule { tile: 3, slots_per_thread: 1 }),
+            NodeSchedule::Fused(FusedSchedule { tile: 0, slots_per_thread: 9 }),
+        ] {
+            let mut scheds = vec![NodeSchedule::Default; g.nodes.len()];
+            scheds[i] = sched;
+            let plan = crate::alloc::plan_allocation_with_schedules(
+                &g,
+                &lv,
+                crate::alias::AliasMode::Full,
+                &scheds,
+            );
+            let bd = node_scratch_breakdown(&g, node, plan.node_schedule[i]).unwrap();
+            assert!(bd.slots > 0 && bd.per_slot_floats > 0);
+            assert_eq!(
+                bd.total_floats() * std::mem::size_of::<f32>(),
+                plan.node_scratch[i],
+                "{}",
+                sched.label()
+            );
+        }
     }
 }

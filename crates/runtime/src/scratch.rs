@@ -1,11 +1,14 @@
 //! Per-node kernel scratch requirements.
 //!
 //! Every compute kernel that needs working memory (im2col columns, GEMM
-//! pack panels, fused-tile strips) exposes a deterministic
-//! `*_scratch_floats` formula in its own crate. This module evaluates
-//! those formulas from a node's *shapes alone*, so the allocation planner
-//! can reserve kernel scratch inside the inference slab before any kernel
-//! runs — the same formula the kernel asserts against at execution time.
+//! pack panels, fused-tile strips) exposes one deterministic,
+//! schedule-taking scratch formula beside its one entry point
+//! (`*_scratch_floats` in `temco_tensor`,
+//! [`crate::fused::fused_scratch_breakdown`] for the fused kernel).
+//! [`node_scratch_bytes`] evaluates those formulas from a node's *shapes
+//! and schedule alone*, so the allocation planner can reserve kernel
+//! scratch inside the inference slab before any kernel runs — the same
+//! formula the kernel asserts against at execution time.
 //!
 //! Ops whose kernels are pure streaming loops (activations, pooling, add,
 //! concat, flatten, softmax, layernorm, head split/merge, affine) need no
@@ -13,48 +16,33 @@
 
 use temco_ir::{Graph, Node, Op};
 use temco_tensor::{
-    conv2d_scratch_floats_with, conv_transpose2d_scratch_floats_with, linear_scratch_floats_with,
-    Conv2dParams,
+    conv2d_scratch_floats, conv_transpose2d_scratch_floats, gemm_scratch_floats,
+    linear_scratch_floats, Conv2dParams,
 };
 
-use crate::fused::fused_scratch_floats_with;
-use crate::fused_tiled::fused_tiled_scratch_floats_with;
+use crate::profile::node_scratch_breakdown;
 use crate::schedule::NodeSchedule;
 
-/// Scratch floats the kernel for `node` requires, computed from the
-/// graph's inferred shapes. Shapes must be inferred
+/// Scratch bytes the kernel for `node` requires under `sched`, computed
+/// from the graph's inferred shapes. Shapes must be inferred
 /// (`Graph::infer_shapes`) before calling.
-pub fn node_scratch_floats(g: &Graph, node: &Node) -> usize {
-    node_scratch_floats_with(g, node, NodeSchedule::Default)
-}
-
-/// [`node_scratch_floats`] evaluated for an explicit kernel schedule.
 ///
 /// This is the *same* formula the kernels assert against at execution
 /// time, so a plan built from it can never under-reserve scratch for the
 /// schedule it carries.
-pub fn node_scratch_floats_with(g: &Graph, node: &Node, sched: NodeSchedule) -> usize {
-    match &node.op {
+pub fn node_scratch_bytes(g: &Graph, node: &Node, sched: NodeSchedule) -> usize {
+    let floats = match &node.op {
         Op::Conv2d(spec) => {
             let s = g.shape(node.inputs[0]);
             let w = g.weight(spec.weight);
             let p =
                 Conv2dParams { stride: spec.stride, padding: spec.padding, groups: spec.groups };
-            conv2d_scratch_floats_with(
-                s[1],
-                s[2],
-                s[3],
-                w.dim(0),
-                w.dim(2),
-                w.dim(3),
-                &p,
-                sched.gemm(),
-            )
+            conv2d_scratch_floats(s[1], s[2], s[3], w.dim(0), w.dim(2), w.dim(3), &p, sched.gemm())
         }
         Op::ConvTranspose2d { weight, .. } => {
             let s = g.shape(node.inputs[0]);
             let w = g.weight(*weight);
-            conv_transpose2d_scratch_floats_with(
+            conv_transpose2d_scratch_floats(
                 s[1],
                 w.dim(1),
                 w.dim(2),
@@ -69,67 +57,31 @@ pub fn node_scratch_floats_with(g: &Graph, node: &Node, sched: NodeSchedule) -> 
             // Rows = every leading dim (rank-≥-2 inputs contract last-dim).
             let f = *s.last().expect("linear input has rank >= 2");
             let rows = s.iter().product::<usize>() / f;
-            linear_scratch_floats_with(rows, f, g.weight(*weight).dim(0), sched.gemm())
+            linear_scratch_floats(rows, f, g.weight(*weight).dim(0), sched.gemm())
         }
         Op::MatMul { transpose_a, transpose_b } => {
             // One GEMM's pack buffers; batch elements run sequentially
-            // reusing them (see `matmul_into_scratch_with`).
+            // reusing them (see `matmul_into`).
             let (_, m, k, n) = temco_tensor::matmul_dims(
                 g.shape(node.inputs[0]),
                 g.shape(node.inputs[1]),
                 *transpose_a,
                 *transpose_b,
             );
-            temco_tensor::matmul_scratch_floats_with(m, k, n, sched.gemm())
+            gemm_scratch_floats(m, k, n, sched.gemm())
         }
-        Op::Fused(spec) => {
-            let s = g.shape(node.inputs[0]);
-            let c_full = g.weight(spec.lconv_w).dim(0);
-            let c_red_out = spec.fconv.as_ref().map_or(c_full, |fc| g.weight(fc.weight).dim(0));
-            let f = sched.fused();
-            if f.tile > 0 {
-                fused_tiled_scratch_floats_with(
-                    s[0],
-                    s[2],
-                    s[3],
-                    c_full,
-                    c_red_out,
-                    spec.pool.map(|(_, k, st)| (k, st)),
-                    f.tile,
-                    spec.fconv.is_some(),
-                    f.slots_per_thread,
-                )
-            } else {
-                fused_scratch_floats_with(
-                    s[0],
-                    s[2],
-                    s[3],
-                    c_full,
-                    c_red_out,
-                    spec.pool.map(|(_, k, st)| (k, st)),
-                    spec.fconv.is_some(),
-                    f.slots_per_thread,
-                )
-            }
-        }
+        Op::Fused(_) => node_scratch_breakdown(g, node, sched).map_or(0, |b| b.total_floats()),
         _ => 0,
-    }
-}
-
-/// [`node_scratch_floats`] in bytes.
-pub fn node_scratch_bytes(g: &Graph, node: &Node) -> usize {
-    node_scratch_floats(g, node) * std::mem::size_of::<f32>()
-}
-
-/// [`node_scratch_floats_with`] in bytes.
-pub fn node_scratch_bytes_with(g: &Graph, node: &Node, sched: NodeSchedule) -> usize {
-    node_scratch_floats_with(g, node, sched) * std::mem::size_of::<f32>()
+    };
+    floats * std::mem::size_of::<f32>()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use temco_tensor::Tensor;
+    use temco_tensor::{GemmSchedule, Tensor};
+
+    const F32: usize = std::mem::size_of::<f32>();
 
     #[test]
     fn streaming_ops_need_no_scratch() {
@@ -141,7 +93,12 @@ mod tests {
         g.mark_output(s);
         g.infer_shapes();
         for node in &g.nodes {
-            assert_eq!(node_scratch_floats(&g, node), 0, "node {}", node.name);
+            assert_eq!(
+                node_scratch_bytes(&g, node, NodeSchedule::Default),
+                0,
+                "node {}",
+                node.name
+            );
         }
     }
 
@@ -154,16 +111,17 @@ mod tests {
         g.infer_shapes();
         let node = g.nodes.iter().find(|n| matches!(n.op, Op::Conv2d(_))).unwrap();
         let p = Conv2dParams { stride: (1, 1), padding: (1, 1), groups: 1 };
+        let bytes = node_scratch_bytes(&g, node, NodeSchedule::Default);
         assert_eq!(
-            node_scratch_floats(&g, node),
-            conv2d_scratch_floats_with(3, 16, 16, 8, 3, 3, &p, temco_tensor::GemmSchedule::DEFAULT)
+            bytes,
+            F32 * conv2d_scratch_floats(3, 16, 16, 8, 3, 3, &p, GemmSchedule::DEFAULT)
         );
-        assert!(node_scratch_bytes(&g, node) > 0);
+        assert!(bytes > 0);
     }
 
     #[test]
     fn schedule_changes_resize_the_reservation_consistently() {
-        use crate::schedule::{FusedSchedule, GemmSchedule};
+        use crate::schedule::FusedSchedule;
         let mut g = Graph::new();
         let x = g.input(&[2, 3, 16, 16], "x");
         let c = g.conv2d(x, Tensor::randn(&[8, 3, 3, 3], 1), None, 1, 1, "c");
@@ -171,12 +129,12 @@ mod tests {
         g.infer_shapes();
         let node = g.nodes.iter().find(|n| matches!(n.op, Op::Conv2d(_))).unwrap();
         let small = NodeSchedule::Gemm(GemmSchedule { kc: 8, mc: 4, nc: 8 });
-        let def = node_scratch_floats_with(&g, node, NodeSchedule::Default);
-        let tuned = node_scratch_floats_with(&g, node, small);
+        let def = node_scratch_bytes(&g, node, NodeSchedule::Default);
+        let tuned = node_scratch_bytes(&g, node, small);
         assert!(tuned > 0 && tuned <= def, "{tuned} vs {def}");
         // A fused schedule on a conv node is ignored (falls back to the
         // default GEMM blocking).
         let cross = NodeSchedule::Fused(FusedSchedule { slots_per_thread: 9, tile: 3 });
-        assert_eq!(node_scratch_floats_with(&g, node, cross), def);
+        assert_eq!(node_scratch_bytes(&g, node, cross), def);
     }
 }

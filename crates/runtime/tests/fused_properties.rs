@@ -1,11 +1,16 @@
 //! Property tests for the fused kernel: for every channel/shape/activation/
-//! pooling combination, the strip-tiled fused kernel must agree with the
-//! unfused three-op reference, and the arena planner must produce valid,
-//! bounded plans for arbitrary graphs.
+//! pooling combination and every schedule — strip body or tiled body at
+//! any tile width and oversubscription — the fused kernel must agree with
+//! the unfused three-op reference using exactly the scratch its breakdown
+//! advertises, and the alias-free allocation plan must be valid and
+//! bounded for arbitrary graphs.
 
 use proptest::prelude::*;
-use temco_ir::{ActKind, Graph, PoolKind};
-use temco_runtime::{fused_forward, plan_arena, plan_memory, validate_arena};
+use temco_ir::{liveness, ActKind, Graph, PoolKind};
+use temco_runtime::{
+    fused_forward_into, fused_scratch_breakdown, plan_allocation_with_mode, plan_memory, AliasMode,
+    FusedSchedule,
+};
 use temco_tensor::{avg_pool2d, conv2d, max_pool2d, Conv2dParams, Tensor};
 
 fn reference(
@@ -39,6 +44,8 @@ proptest! {
         w in 2usize..9,
         act_sel in 0usize..4,
         pool_sel in 0usize..5,
+        tile in 0usize..6,
+        slots_per_thread in 1usize..9,
         seed in 0u64..500,
     ) {
         let act = [ActKind::Relu, ActKind::Silu, ActKind::Sigmoid, ActKind::Tanh][act_sel];
@@ -54,14 +61,32 @@ proptest! {
         let x = Tensor::randn(&[n, c_red, h, w], seed);
         let lw = Tensor::randn(&[c_full, c_red, 1, 1], seed ^ 0x11);
         let fw = Tensor::randn(&[c_out, c_full, 1, 1], seed ^ 0x22);
-        let got = fused_forward(&x, &lw, None, act, pool, Some(&fw), None);
         let want = reference(&x, &lw, act, pool, &fw);
-        prop_assert_eq!(got.shape(), want.shape());
-        prop_assert!(got.max_abs_diff(&want) <= 2e-3, "diff {}", got.max_abs_diff(&want));
+        // `tile == 0` runs the strip body, `1..=5` the tiled body.
+        let sched = FusedSchedule { tile, slots_per_thread };
+        let geometry = pool.map(|(_, k, s)| (k, s));
+        let floats = fused_scratch_breakdown(n, h, w, c_full, c_out, geometry, true, sched)
+            .total_floats();
+        // NaN-filled: the kernel must write every scratch float it reads.
+        let mut scratch = vec![f32::NAN; floats];
+        let mut got = Tensor::zeros(want.shape());
+        fused_forward_into(
+            x.view(),
+            &lw,
+            None,
+            act,
+            pool,
+            Some(&fw),
+            None,
+            got.data_mut(),
+            &mut scratch,
+            sched,
+        );
+        prop_assert!(got.max_abs_diff(&want) <= 2e-3, "{sched:?}: diff {}", got.max_abs_diff(&want));
     }
 
     #[test]
-    fn arena_plans_are_valid_and_bounded(
+    fn alias_free_plans_are_valid_and_bounded(
         widths in proptest::collection::vec(1usize..6, 2..10),
         skip_every in 2usize..4,
         seed in 0u64..500,
@@ -88,12 +113,12 @@ proptest! {
         g.mark_output(x);
         g.infer_shapes();
 
-        let plan = plan_arena(&g);
-        prop_assert!(validate_arena(&plan).is_empty());
+        let plan = plan_allocation_with_mode(&g, &liveness(&g), AliasMode::Off);
+        prop_assert!(plan.validate().is_empty());
         let peak = plan_memory(&g).peak_internal_bytes;
-        let sum: usize = plan.placements.iter().map(|p| p.bytes).sum();
-        prop_assert!(plan.arena_bytes >= peak, "arena below live peak");
-        prop_assert!(plan.arena_bytes <= sum, "arena above sum of tensors");
+        let sum: usize = plan.buffers.iter().map(|p| p.bytes).sum();
+        prop_assert!(plan.value_bytes >= peak, "value region below live peak");
+        prop_assert!(plan.value_bytes <= sum, "value region above sum of tensors");
         prop_assert_eq!(plan.peak_live_bytes, peak);
     }
 }

@@ -1,7 +1,7 @@
 //! The batching worker: gather → bucket → pad → run → scatter.
 //!
 //! Each worker owns one [`Engine`] (private slab) per batch-size bucket,
-//! all sharing the server's [`CompiledGraph`] plan cache — so a batch of
+//! all sharing the server's [`temco_runtime::CompiledGraph`] plan cache — so a batch of
 //! any admitted size executes on a precompiled plan, and the hot loop
 //! never plans, never compiles, and never heap-allocates:
 //!

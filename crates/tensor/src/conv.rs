@@ -1,22 +1,19 @@
 //! Convolution kernels: im2col + SGEMM, pointwise fast path, transposed
 //! convolution, and a naive reference implementation.
 //!
-//! Every kernel has three entry points: the allocating form (`conv2d`),
-//! the preallocated-output form (`conv2d_into`), and the fully planned
-//! form (`conv2d_into_scratch`) that also takes the kernel's working
-//! memory — im2col columns plus GEMM pack buffers — as a caller-provided
-//! slice. The matching `*_scratch_floats` function computes exactly how
-//! much working memory a given shape needs; the allocation planner calls
-//! it to reserve slab scratch, so steady-state inference never allocates.
-//! The `_into` forms borrow a reusable thread-local buffer instead, which
-//! keeps ad-hoc callers allocation-free after their first call.
+//! Every kernel has one entry point, `conv2d_into`, that takes its output
+//! buffer, its working memory — im2col columns plus GEMM pack buffers —
+//! and its [`GemmSchedule`] from the caller. The matching
+//! `*_scratch_floats` function computes, for the same schedule, exactly
+//! how much working memory a given shape needs; the allocation planner
+//! calls it to reserve slab scratch, so steady-state inference never
+//! allocates. The allocating convenience form (`conv2d`) runs the default
+//! schedule on a reusable thread-local buffer.
 
 use rayon::prelude::*;
 
 use crate::conv_out_dim;
-use crate::matmul::{
-    sgemm_scratch_floats_with, sgemm_scratch_with, sgemm_tn_scratch_with, with_tl_scratch, SyncPtr,
-};
+use crate::matmul::{gemm, gemm_scratch_floats, with_tl_scratch, SyncPtr};
 use crate::schedule::GemmSchedule;
 use crate::tensor::{Tensor, TensorView};
 
@@ -56,27 +53,13 @@ impl Conv2dParams {
     }
 }
 
-/// Working-memory floats a `conv2d` of these dimensions needs: the im2col
-/// column matrix (shared across batch elements and groups) plus the GEMM
-/// pack buffers; the pointwise fast path needs only the latter. Mirrors
-/// the dispatch in [`conv2d_into_scratch`] exactly — the planner and the
-/// kernel must agree byte-for-byte.
-pub fn conv2d_scratch_floats(
-    c_in: usize,
-    h: usize,
-    w: usize,
-    c_out: usize,
-    kh: usize,
-    kw: usize,
-    p: &Conv2dParams,
-) -> usize {
-    conv2d_scratch_floats_with(c_in, h, w, c_out, kh, kw, p, GemmSchedule::DEFAULT)
-}
-
-/// [`conv2d_scratch_floats`] under an explicit GEMM schedule — the pack
-/// buffers are schedule-sized, the im2col column matrix is not.
+/// Working-memory floats a `conv2d` of these dimensions needs under
+/// `schedule`: the im2col column matrix (shared across batch elements and
+/// groups) plus the schedule-sized GEMM pack buffers; the pointwise fast
+/// path needs only the latter. Mirrors the dispatch in [`conv2d_into`]
+/// exactly — the planner and the kernel must agree byte-for-byte.
 #[allow(clippy::too_many_arguments)]
-pub fn conv2d_scratch_floats_with(
+pub fn conv2d_scratch_floats(
     c_in: usize,
     h: usize,
     w: usize,
@@ -87,13 +70,13 @@ pub fn conv2d_scratch_floats_with(
     schedule: GemmSchedule,
 ) -> usize {
     if p.is_pointwise(kh, kw) {
-        return sgemm_scratch_floats_with(c_out, c_in, h * w, schedule);
+        return gemm_scratch_floats(c_out, c_in, h * w, schedule);
     }
     let (oh, ow) = p.out_hw(h, w, kh, kw);
     let c_in_g = c_in / p.groups;
     let c_out_g = c_out / p.groups;
     let col_rows = c_in_g * kh * kw;
-    col_rows * oh * ow + sgemm_scratch_floats_with(c_out_g, col_rows, oh * ow, schedule)
+    col_rows * oh * ow + gemm_scratch_floats(c_out_g, col_rows, oh * ow, schedule)
 }
 
 /// 2-D convolution. `input` is `[n, c_in, h, w]`, `weight` is
@@ -106,59 +89,26 @@ pub fn conv2d_scratch_floats_with(
 /// # Panics
 /// Panics on shape inconsistencies.
 pub fn conv2d(input: &Tensor, weight: &Tensor, bias: Option<&[f32]>, p: &Conv2dParams) -> Tensor {
-    let (n, _, h, w) = (input.dim(0), input.dim(1), input.dim(2), input.dim(3));
+    let (n, c_in, h, w) = (input.dim(0), input.dim(1), input.dim(2), input.dim(3));
     let (c_out, kh, kw) = (weight.dim(0), weight.dim(2), weight.dim(3));
     let (oh, ow) = p.out_hw(h, w, kh, kw);
     let mut out = Tensor::zeros(&[n, c_out, oh, ow]);
-    conv2d_into(input.view(), weight, bias, p, out.data_mut());
+    let s = GemmSchedule::DEFAULT;
+    with_tl_scratch(conv2d_scratch_floats(c_in, h, w, c_out, kh, kw, p, s), |scratch| {
+        conv2d_into(input.view(), weight, bias, p, out.data_mut(), scratch, s);
+    });
     out
 }
 
 /// [`conv2d`] writing into a preallocated output buffer of exactly
-/// `n × c_out × oh × ow` elements. Working memory comes from the reusable
-/// thread-local buffer.
+/// `n × c_out × oh × ow` elements, with explicit working memory of at
+/// least [`conv2d_scratch_floats`] floats for the *same* `schedule` — the
+/// slab executor's entry point.
 ///
 /// # Panics
-/// Panics on shape inconsistencies or if `out` has the wrong length.
+/// Panics on shape inconsistencies, wrong `out` length, or undersized
+/// scratch.
 pub fn conv2d_into(
-    input: TensorView<'_>,
-    weight: &Tensor,
-    bias: Option<&[f32]>,
-    p: &Conv2dParams,
-    out: &mut [f32],
-) {
-    let (c_in, h, w) = (input.dim(1), input.dim(2), input.dim(3));
-    let (c_out, kh, kw) = (weight.dim(0), weight.dim(2), weight.dim(3));
-    with_tl_scratch(conv2d_scratch_floats(c_in, h, w, c_out, kh, kw, p), |s| {
-        conv2d_into_scratch(input, weight, bias, p, out, s);
-    });
-}
-
-/// [`conv2d_into`] with explicit working memory of at least
-/// [`conv2d_scratch_floats`] elements — the slab executor's entry point.
-///
-/// # Panics
-/// Panics on shape inconsistencies, wrong `out` length, or undersized
-/// scratch.
-pub fn conv2d_into_scratch(
-    input: TensorView<'_>,
-    weight: &Tensor,
-    bias: Option<&[f32]>,
-    p: &Conv2dParams,
-    out: &mut [f32],
-    scratch: &mut [f32],
-) {
-    conv2d_into_scratch_with(input, weight, bias, p, out, scratch, GemmSchedule::DEFAULT);
-}
-
-/// [`conv2d_into_scratch`] under an explicit GEMM schedule; scratch must
-/// hold [`conv2d_scratch_floats_with`] floats for the *same* schedule.
-///
-/// # Panics
-/// Panics on shape inconsistencies, wrong `out` length, or undersized
-/// scratch.
-#[allow(clippy::too_many_arguments)]
-pub fn conv2d_into_scratch_with(
     input: TensorView<'_>,
     weight: &Tensor,
     bias: Option<&[f32]>,
@@ -179,7 +129,7 @@ pub fn conv2d_into_scratch_with(
     let (oh, ow) = p.out_hw(h, w, kh, kw);
     assert_eq!(out.len(), n * c_out * oh * ow, "conv2d output buffer length");
     assert!(
-        scratch.len() >= conv2d_scratch_floats_with(c_in, h, w, c_out, kh, kw, p, schedule),
+        scratch.len() >= conv2d_scratch_floats(c_in, h, w, c_out, kh, kw, p, schedule),
         "conv2d scratch undersized"
     );
 
@@ -217,9 +167,11 @@ pub fn conv2d_into_scratch_with(
             } else {
                 out_slice.fill(0.0);
             }
-            sgemm_scratch_with(
+            gemm(
                 w_slice,
+                false,
                 col,
+                false,
                 out_slice,
                 c_out_g,
                 col_rows,
@@ -253,9 +205,11 @@ fn pointwise_into(
         } else {
             out_slice.fill(0.0);
         }
-        sgemm_scratch_with(
+        gemm(
             weight.data(),
+            false,
             in_slice,
+            false,
             out_slice,
             c_out,
             c_in,
@@ -362,22 +316,10 @@ pub fn conv2d_direct(
     out
 }
 
-/// Working-memory floats a `conv_transpose2d` of these dimensions needs:
-/// the `[c_out·kh·kw, h·w]` column matrix produced by the GEMM plus the
-/// GEMM pack buffers.
+/// Working-memory floats a `conv_transpose2d` of these dimensions needs
+/// under `schedule`: the `[c_out·kh·kw, h·w]` column matrix produced by
+/// the GEMM plus the schedule-sized GEMM pack buffers.
 pub fn conv_transpose2d_scratch_floats(
-    c_in: usize,
-    c_out: usize,
-    kh: usize,
-    kw: usize,
-    h: usize,
-    w: usize,
-) -> usize {
-    conv_transpose2d_scratch_floats_with(c_in, c_out, kh, kw, h, w, GemmSchedule::DEFAULT)
-}
-
-/// [`conv_transpose2d_scratch_floats`] under an explicit GEMM schedule.
-pub fn conv_transpose2d_scratch_floats_with(
     c_in: usize,
     c_out: usize,
     kh: usize,
@@ -387,7 +329,7 @@ pub fn conv_transpose2d_scratch_floats_with(
     schedule: GemmSchedule,
 ) -> usize {
     let col_rows = c_out * kh * kw;
-    col_rows * h * w + sgemm_scratch_floats_with(col_rows, c_in, h * w, schedule)
+    col_rows * h * w + gemm_scratch_floats(col_rows, c_in, h * w, schedule)
 }
 
 /// Transposed (up-)convolution, `weight` is `[c_in, c_out, kh, kw]`.
@@ -403,67 +345,26 @@ pub fn conv_transpose2d(
     bias: Option<&[f32]>,
     stride: (usize, usize),
 ) -> Tensor {
-    let (n, h, w) = (input.dim(0), input.dim(2), input.dim(3));
+    let (n, c_in, h, w) = (input.dim(0), input.dim(1), input.dim(2), input.dim(3));
     let (c_out, kh, kw) = (weight.dim(1), weight.dim(2), weight.dim(3));
     let oh = (h - 1) * stride.0 + kh;
     let ow = (w - 1) * stride.1 + kw;
     let mut out = Tensor::zeros(&[n, c_out, oh, ow]);
-    conv_transpose2d_into(input.view(), weight, bias, stride, out.data_mut());
+    let s = GemmSchedule::DEFAULT;
+    with_tl_scratch(conv_transpose2d_scratch_floats(c_in, c_out, kh, kw, h, w, s), |scratch| {
+        conv_transpose2d_into(input.view(), weight, bias, stride, out.data_mut(), scratch, s);
+    });
     out
 }
 
-/// [`conv_transpose2d`] writing into a preallocated output buffer.
-/// Working memory comes from the reusable thread-local buffer.
+/// [`conv_transpose2d`] writing into a preallocated output buffer, with
+/// explicit working memory of at least [`conv_transpose2d_scratch_floats`]
+/// floats for the *same* `schedule`.
 ///
 /// # Panics
-/// Panics on channel mismatches or if `out` has the wrong length.
+/// Panics on channel mismatches, wrong `out` length, or undersized
+/// scratch.
 pub fn conv_transpose2d_into(
-    input: TensorView<'_>,
-    weight: &Tensor,
-    bias: Option<&[f32]>,
-    stride: (usize, usize),
-    out: &mut [f32],
-) {
-    let (c_in, h, w) = (input.dim(1), input.dim(2), input.dim(3));
-    let (c_out, kh, kw) = (weight.dim(1), weight.dim(2), weight.dim(3));
-    with_tl_scratch(conv_transpose2d_scratch_floats(c_in, c_out, kh, kw, h, w), |s| {
-        conv_transpose2d_into_scratch(input, weight, bias, stride, out, s);
-    });
-}
-
-/// [`conv_transpose2d_into`] with explicit working memory of at least
-/// [`conv_transpose2d_scratch_floats`] elements.
-///
-/// # Panics
-/// Panics on channel mismatches, wrong `out` length, or undersized
-/// scratch.
-pub fn conv_transpose2d_into_scratch(
-    input: TensorView<'_>,
-    weight: &Tensor,
-    bias: Option<&[f32]>,
-    stride: (usize, usize),
-    out: &mut [f32],
-    scratch: &mut [f32],
-) {
-    conv_transpose2d_into_scratch_with(
-        input,
-        weight,
-        bias,
-        stride,
-        out,
-        scratch,
-        GemmSchedule::DEFAULT,
-    );
-}
-
-/// [`conv_transpose2d_into_scratch`] under an explicit GEMM schedule;
-/// scratch must hold [`conv_transpose2d_scratch_floats_with`] floats for
-/// the *same* schedule.
-///
-/// # Panics
-/// Panics on channel mismatches, wrong `out` length, or undersized
-/// scratch.
-pub fn conv_transpose2d_into_scratch_with(
     input: TensorView<'_>,
     weight: &Tensor,
     bias: Option<&[f32]>,
@@ -481,7 +382,7 @@ pub fn conv_transpose2d_into_scratch_with(
     let plane = oh * ow;
     assert_eq!(out.len(), n * c_out * plane, "conv_transpose2d output buffer length");
     assert!(
-        scratch.len() >= conv_transpose2d_scratch_floats_with(c_in, c_out, kh, kw, h, w, schedule),
+        scratch.len() >= conv_transpose2d_scratch_floats(c_in, c_out, kh, kw, h, w, schedule),
         "conv_transpose2d scratch undersized"
     );
     match bias {
@@ -505,16 +406,7 @@ pub fn conv_transpose2d_into_scratch_with(
         // exactly the `[k × m]` transposed-A operand with k = c_in.
         col.fill(0.0);
         let x = &input.data()[b_i * c_in * in_plane..(b_i + 1) * c_in * in_plane];
-        sgemm_tn_scratch_with(
-            weight.data(),
-            x,
-            col,
-            col_rows,
-            c_in,
-            in_plane,
-            gemm_scratch,
-            schedule,
-        );
+        gemm(weight.data(), true, x, false, col, col_rows, c_in, in_plane, gemm_scratch, schedule);
         // col2im scatter-add, parallel over output channels: each worker
         // owns one `[oh, ow]` output plane.
         (0..c_out).into_par_iter().for_each(|co| {
@@ -617,10 +509,10 @@ mod tests {
         let weight = rt(&[7, 5, 3, 3], 22);
         let p = Conv2dParams::new(1, 1);
         let a = conv2d(&input, &weight, None, &p);
-        let floats = conv2d_scratch_floats(5, 13, 11, 7, 3, 3, &p);
-        let mut scratch = vec![0.0f32; floats];
+        let s = GemmSchedule::DEFAULT;
+        let mut scratch = vec![0.0f32; conv2d_scratch_floats(5, 13, 11, 7, 3, 3, &p, s)];
         let mut out = Tensor::zeros(a.shape());
-        conv2d_into_scratch(input.view(), &weight, None, &p, out.data_mut(), &mut scratch);
+        conv2d_into(input.view(), &weight, None, &p, out.data_mut(), &mut scratch, s);
         assert!(a.all_close(&out, 1e-6), "diff {}", a.max_abs_diff(&out));
     }
 

@@ -1,6 +1,6 @@
 //! Elementwise ops, activations, concat/add, linear, softmax.
 
-use crate::matmul::{sgemm_nt_scratch_with, sgemm_scratch_floats_with, with_tl_scratch};
+use crate::matmul::{gemm, gemm_scratch_floats, with_tl_scratch};
 use crate::schedule::GemmSchedule;
 use crate::tensor::{Tensor, TensorView};
 
@@ -190,66 +190,34 @@ where
 /// treated as rows (`[n, t, f] → [n, t, out]` for transformer blocks).
 pub fn linear(input: &Tensor, weight: &Tensor, bias: Option<&[f32]>) -> Tensor {
     let mut shape = input.shape().to_vec();
-    *shape.last_mut().expect("linear input must have rank >= 1") = weight.dim(0);
+    let f = *shape.last().expect("linear input must have rank >= 1");
+    let n = input.numel() / f.max(1);
+    let out_f = weight.dim(0);
+    *shape.last_mut().expect("rank checked above") = out_f;
     let mut out = Tensor::zeros(&shape);
-    linear_into(input.view(), weight, bias, out.data_mut());
+    let s = GemmSchedule::DEFAULT;
+    with_tl_scratch(linear_scratch_floats(n, f, out_f, s), |scratch| {
+        linear_into(input.view(), weight, bias, out.data_mut(), scratch, s);
+    });
     out
 }
 
-/// Working-memory floats a `linear` of these dimensions needs (the GEMM
-/// pack buffers; the stored weight multiplies in place via the transposed
-/// GEMM variant, so no transpose copy exists anymore).
-pub fn linear_scratch_floats(n: usize, in_f: usize, out_f: usize) -> usize {
-    linear_scratch_floats_with(n, in_f, out_f, GemmSchedule::DEFAULT)
+/// Working-memory floats a `linear` of these dimensions needs under
+/// `schedule` (the GEMM pack buffers; the stored weight multiplies in
+/// place as the transposed GEMM operand, so no transpose copy exists).
+pub fn linear_scratch_floats(n: usize, in_f: usize, out_f: usize, schedule: GemmSchedule) -> usize {
+    gemm_scratch_floats(n, in_f, out_f, schedule)
 }
 
-/// [`linear_scratch_floats`] under an explicit GEMM schedule.
-pub fn linear_scratch_floats_with(
-    n: usize,
-    in_f: usize,
-    out_f: usize,
-    schedule: GemmSchedule,
-) -> usize {
-    sgemm_scratch_floats_with(n, in_f, out_f, schedule)
-}
-
-/// [`linear`] writing into a preallocated output buffer. Working memory
-/// comes from the reusable thread-local buffer.
-///
-/// # Panics
-/// Panics on shape mismatches or if `out` has the wrong length.
-pub fn linear_into(input: TensorView<'_>, weight: &Tensor, bias: Option<&[f32]>, out: &mut [f32]) {
-    let f = *input.shape().last().expect("linear input must have rank >= 1");
-    let n = input.numel() / f.max(1);
-    let out_f = weight.dim(0);
-    with_tl_scratch(linear_scratch_floats(n, f, out_f), |s| {
-        linear_into_scratch(input, weight, bias, out, s);
-    });
-}
-
-/// [`linear_into`] with explicit working memory of at least
-/// [`linear_scratch_floats`] elements — the slab executor's entry point.
-/// The `[out_features, in_features]` weight is consumed directly by the
-/// transposed-B GEMM variant; no transpose copy is materialized.
+/// [`linear`] writing into a preallocated output buffer, with explicit
+/// working memory of at least [`linear_scratch_floats`] floats for the
+/// *same* `schedule` — the slab executor's entry point. The
+/// `[out_features, in_features]` weight is consumed directly as the
+/// transposed GEMM operand; no transpose copy is materialized.
 ///
 /// # Panics
 /// Panics on shape mismatches, wrong `out` length, or undersized scratch.
-pub fn linear_into_scratch(
-    input: TensorView<'_>,
-    weight: &Tensor,
-    bias: Option<&[f32]>,
-    out: &mut [f32],
-    scratch: &mut [f32],
-) {
-    linear_into_scratch_with(input, weight, bias, out, scratch, GemmSchedule::DEFAULT);
-}
-
-/// [`linear_into_scratch`] under an explicit GEMM schedule; scratch must
-/// hold [`linear_scratch_floats_with`] floats for the *same* schedule.
-///
-/// # Panics
-/// Panics on shape mismatches, wrong `out` length, or undersized scratch.
-pub fn linear_into_scratch_with(
+pub fn linear_into(
     input: TensorView<'_>,
     weight: &Tensor,
     bias: Option<&[f32]>,
@@ -276,7 +244,7 @@ pub fn linear_into_scratch_with(
         None => out.fill(0.0),
     }
     // out[n, out_f] += input[n, f] · weight[out_f, f]ᵀ
-    sgemm_nt_scratch_with(input.data(), weight.data(), out, n, f, out_f, scratch, schedule);
+    gemm(input.data(), false, weight.data(), true, out, n, f, out_f, scratch, schedule);
 }
 
 /// Softmax over the last dimension of a rank-≥-2 tensor: every other

@@ -10,14 +10,17 @@
 //!   introduces) lower to a single SGEMM per batch element;
 //! * general convolutions use im2col + SGEMM, transposed convolutions a
 //!   GEMM + col2im scatter;
-//! * SGEMM itself is a cache-blocked, packed, register-tiled kernel
-//!   (see [`matmul`]) parallelized over output tiles.
+//! * the GEMM itself is a cache-blocked, packed, register-tiled kernel
+//!   (see the [`mod@matmul`] module) parallelized over output tiles.
 //!
-//! Every compute kernel exposes a `*_scratch` entry point taking its
-//! working memory as a caller-provided slice, sized by the matching
-//! `*_scratch_floats` function — the runtime's allocation planner reserves
-//! that scratch inside the inference slab so steady-state execution never
-//! heap-allocates.
+//! Every compute kernel has one entry point, `K_into`, that takes its
+//! output buffer, its working memory and its [`GemmSchedule`] from the
+//! caller; the matching `K_scratch_floats` function sizes that working
+//! memory for the same schedule. The runtime's allocation planner reserves
+//! the scratch inside the inference slab, so steady-state execution never
+//! heap-allocates. Beside it sits one allocating convenience form, `K`,
+//! which runs the default schedule on a reusable thread-local buffer
+//! ([`with_tl_scratch`]).
 //!
 //! A slow, obviously-correct direct convolution is kept for cross-validation
 //! in tests.
@@ -31,22 +34,15 @@ pub mod tensor;
 pub mod transformer;
 
 pub use conv::{
-    conv2d, conv2d_direct, conv2d_into, conv2d_into_scratch, conv2d_into_scratch_with,
-    conv2d_scratch_floats, conv2d_scratch_floats_with, conv_transpose2d, conv_transpose2d_into,
-    conv_transpose2d_into_scratch, conv_transpose2d_into_scratch_with,
-    conv_transpose2d_scratch_floats, conv_transpose2d_scratch_floats_with, Conv2dParams,
+    conv2d, conv2d_direct, conv2d_into, conv2d_scratch_floats, conv_transpose2d,
+    conv_transpose2d_into, conv_transpose2d_scratch_floats, Conv2dParams,
 };
 pub use elementwise::{
     add, add_n_assign_iter, add_n_into, add_n_into_iter, concat_channels, concat_channels_into,
-    concat_channels_into_iter, linear, linear_into, linear_into_scratch, linear_into_scratch_with,
-    linear_scratch_floats, linear_scratch_floats_with, softmax_lastdim, softmax_lastdim_inplace,
-    softmax_lastdim_into, ActKind,
+    concat_channels_into_iter, linear, linear_into, linear_scratch_floats, softmax_lastdim,
+    softmax_lastdim_inplace, softmax_lastdim_into, ActKind,
 };
-pub use matmul::{
-    isa_level, sgemm, sgemm_nt, sgemm_nt_scratch, sgemm_nt_scratch_with, sgemm_reference,
-    sgemm_scratch, sgemm_scratch_floats, sgemm_scratch_floats_with, sgemm_scratch_with, sgemm_tn,
-    sgemm_tn_scratch, sgemm_tn_scratch_with, with_tl_scratch,
-};
+pub use matmul::{gemm, gemm_scratch_floats, isa_level, sgemm, sgemm_reference, with_tl_scratch};
 pub use pool::{
     avg_pool2d, avg_pool2d_inplace, avg_pool2d_into, global_avg_pool, global_avg_pool_inplace,
     global_avg_pool_into, max_pool2d, max_pool2d_inplace, max_pool2d_into,
@@ -55,8 +51,7 @@ pub use schedule::GemmSchedule;
 pub use tensor::{Tensor, TensorView};
 pub use transformer::{
     layer_norm, layer_norm_inplace, layer_norm_into, matmul, matmul_dims, matmul_into,
-    matmul_into_scratch_with, matmul_reference, matmul_scratch_floats_with, merge_heads,
-    merge_heads_into, split_heads, split_heads_into,
+    matmul_reference, merge_heads, merge_heads_into, split_heads, split_heads_into,
 };
 
 /// Compute the spatial output size of a convolution/pooling window.

@@ -24,21 +24,15 @@
 //! accumulator chains) with an SSE2-intrinsics fallback that is always
 //! available on x86-64, and a portable autovectorized form elsewhere.
 //!
-//! Three storage variants are exposed, differing only in packing-time
-//! indexing (the microkernel is shared):
-//!
-//! * [`sgemm`]   — `out += A[m×k] · B[k×n]`, both row-major;
-//! * [`sgemm_nt`] — `B` stored transposed as `[n×k]` (weight matrices in
-//!   `[out_features, in_features]` layout multiply without a copy);
-//! * [`sgemm_tn`] — `A` stored transposed as `[k×m]` (column matrices for
-//!   GEMM-based transposed convolution).
-//!
-//! Every variant has a `*_scratch` form taking an explicit pack buffer of
-//! [`sgemm_scratch_floats`] capacity — the slab executor routes planned
-//! scratch through these so steady-state inference performs **zero heap
-//! allocations**. The plain forms borrow a thread-local buffer that is
-//! grown once and reused, so ad-hoc callers stay allocation-free after
-//! warmup too.
+//! There is one entry point, [`gemm`]: `out += op(A) · op(B)`, where a
+//! flag per operand says whether it is stored row-major or transposed
+//! (the storage differs only in packing-time indexing; the microkernel is
+//! shared). It takes its pack buffer of [`gemm_scratch_floats`] floats and
+//! its [`GemmSchedule`] from the caller — the slab executor hands it
+//! planned scratch, so steady-state inference performs **zero heap
+//! allocations**. [`sgemm`] is the row-major convenience form under the
+//! default schedule, borrowing a thread-local buffer that is grown once
+//! and reused.
 
 use crate::schedule::GemmSchedule;
 use rayon::prelude::*;
@@ -59,7 +53,7 @@ const _: () = assert!(MR == 4 && NR == 8);
 
 /// Below this many multiply-adds the packed pipeline's setup cost beats
 /// its cache wins; a straight serial loop runs instead (and needs no
-/// scratch — [`sgemm_scratch_floats`] returns 0).
+/// scratch — [`gemm_scratch_floats`] returns 0).
 const SMALL_FLOPS: usize = 16 * 16 * 16;
 
 /// How `A` is stored: row-major `[m×k]` or transposed `[k×m]`.
@@ -128,39 +122,33 @@ fn gemm_dims(m: usize, k: usize, n: usize, threads: usize, s: GemmSchedule) -> G
     GemmDims { row_slots, col_slots, kc, mcb, ncb, per_slot: kc * (mcb + ncb) }
 }
 
-/// Pack-buffer floats a `(m, k, n)` GEMM needs on this host under the
-/// default schedule. Deterministic given shapes and
-/// `rayon::current_num_threads()`; the allocation planner uses it to
-/// reserve slab scratch and the kernels assert against it.
-pub fn sgemm_scratch_floats(m: usize, k: usize, n: usize) -> usize {
-    sgemm_scratch_floats_with(m, k, n, GemmSchedule::DEFAULT)
-}
-
-/// [`sgemm_scratch_floats`] for an explicit schedule — the same function
-/// the kernel partitions scratch with, so planner and kernel cannot
-/// disagree for *any* schedule value.
-pub fn sgemm_scratch_floats_with(m: usize, k: usize, n: usize, s: GemmSchedule) -> usize {
+/// Pack-buffer floats a `(m, k, n)` [`gemm`] needs on this host under
+/// `schedule` — the same function the kernel partitions scratch with, so
+/// planner and kernel cannot disagree for *any* schedule value.
+/// Deterministic given shapes, schedule and `rayon::current_num_threads()`.
+pub fn gemm_scratch_floats(m: usize, k: usize, n: usize, schedule: GemmSchedule) -> usize {
     if m == 0 || n == 0 || k == 0 || m * k * n <= SMALL_FLOPS {
         return 0;
     }
-    let d = gemm_dims(m, k, n, rayon::current_num_threads(), s);
+    let d = gemm_dims(m, k, n, rayon::current_num_threads(), schedule);
     d.row_slots * d.col_slots * d.per_slot
 }
 
 thread_local! {
-    /// Reusable pack buffer for the non-`_scratch` entry points: grown to
+    /// Reusable pack buffer for the allocating convenience forms: grown to
     /// the high-water mark once, then borrowed allocation-free.
     static TL_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Run `f` with a thread-local buffer of `floats` elements — the working
-/// memory behind every non-`_scratch` kernel entry point (grown once to
-/// the high-water mark, then borrowed allocation-free).
+/// memory behind every allocating convenience form (`conv2d`, `linear`,
+/// `matmul`, [`sgemm`], …): grown once to the high-water mark, then
+/// borrowed allocation-free.
 ///
-/// Borrowed **non-reentrantly**: only outermost kernel entry points may
-/// call this, and they must never nest — a kernel that holds the buffer
-/// must not call another kernel's non-`_scratch` form on the same thread.
-/// The `*_scratch` kernels never touch it.
+/// Borrowed **non-reentrantly**: only outermost convenience forms may call
+/// this, and they must never nest — code that holds the buffer must not
+/// call another convenience form on the same thread. The `_into` entry
+/// points never touch it.
 pub fn with_tl_scratch<R>(floats: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
     if floats == 0 {
         return f(&mut []);
@@ -174,48 +162,38 @@ pub fn with_tl_scratch<R>(floats: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
     })
 }
 
-/// `out[m×n] += a[m×k] * b[k×n]`, all row-major. `out` must be pre-filled
-/// (zeros or bias-broadcast) by the caller. This is the workhorse behind
-/// `linear`, 1×1 convolutions, and im2col convolutions.
+/// `out[m×n] += a[m×k] * b[k×n]`, all row-major, under the default
+/// schedule with thread-local scratch. `out` must be pre-filled (zeros or
+/// bias-broadcast) by the caller.
 ///
 /// # Panics
 /// Panics if slice lengths disagree with `m`, `k`, `n`.
 pub fn sgemm(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    assert_eq!(a.len(), m * k, "lhs buffer size mismatch");
-    assert_eq!(b.len(), k * n, "rhs buffer size mismatch");
-    assert_eq!(out.len(), m * n, "out buffer size mismatch");
-    with_tl_scratch(sgemm_scratch_floats(m, k, n), |s| {
-        gemm_core(a, AStore::RowMajor, b, BStore::RowMajor, out, m, k, n, s, GemmSchedule::DEFAULT);
+    let s = GemmSchedule::DEFAULT;
+    with_tl_scratch(gemm_scratch_floats(m, k, n, s), |scratch| {
+        gemm(a, false, b, false, out, m, k, n, scratch, s);
     });
 }
 
-/// [`sgemm`] with an explicit pack buffer of at least
-/// [`sgemm_scratch_floats`]`(m, k, n)` elements — the planned-slab entry
-/// point.
+/// `out[m×n] += op(A)·op(B)` — the one blocked GEMM entry point behind
+/// every matrix kernel in the crate.
 ///
-/// # Panics
-/// Panics on length mismatches or undersized scratch.
-pub fn sgemm_scratch(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    scratch: &mut [f32],
-) {
-    sgemm_scratch_with(a, b, out, m, k, n, scratch, GemmSchedule::DEFAULT);
-}
-
-/// [`sgemm_scratch`] under an explicit [`GemmSchedule`]; scratch must hold
-/// [`sgemm_scratch_floats_with`]`(m, k, n, schedule)` floats.
+/// `a` holds `A[m×k]` row-major, or `Aᵀ` as `[k×m]` when `transpose_a`;
+/// `b` holds `B[k×n]` row-major, or `Bᵀ` as `[n×k]` when `transpose_b`.
+/// The flags change only packing-time indexing, so `linear` multiplies
+/// the stored `[out_features, in_features]` weight and transposed
+/// convolution its `[k × spatial]` column operand without a copy. `out`
+/// must be pre-filled by the caller; `scratch` must hold
+/// [`gemm_scratch_floats`]`(m, k, n, schedule)` floats.
 ///
 /// # Panics
 /// Panics on length mismatches or undersized scratch.
 #[allow(clippy::too_many_arguments)]
-pub fn sgemm_scratch_with(
+pub fn gemm(
     a: &[f32],
+    transpose_a: bool,
     b: &[f32],
+    transpose_b: bool,
     out: &mut [f32],
     m: usize,
     k: usize,
@@ -226,140 +204,9 @@ pub fn sgemm_scratch_with(
     assert_eq!(a.len(), m * k, "lhs buffer size mismatch");
     assert_eq!(b.len(), k * n, "rhs buffer size mismatch");
     assert_eq!(out.len(), m * n, "out buffer size mismatch");
-    gemm_core(a, AStore::RowMajor, b, BStore::RowMajor, out, m, k, n, scratch, schedule);
-}
-
-/// `out[m×n] += a[m×k] * bt[n×k]ᵀ`: the right-hand operand is stored
-/// transposed, as `[out_features, in_features]` weight matrices are. Lets
-/// `linear` multiply against the stored weight with no transpose copy.
-///
-/// # Panics
-/// Panics if slice lengths disagree with `m`, `k`, `n`.
-pub fn sgemm_nt(a: &[f32], bt: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    assert_eq!(a.len(), m * k, "lhs buffer size mismatch");
-    assert_eq!(bt.len(), n * k, "rhs (transposed) buffer size mismatch");
-    assert_eq!(out.len(), m * n, "out buffer size mismatch");
-    with_tl_scratch(sgemm_scratch_floats(m, k, n), |s| {
-        gemm_core(
-            a,
-            AStore::RowMajor,
-            bt,
-            BStore::Transposed,
-            out,
-            m,
-            k,
-            n,
-            s,
-            GemmSchedule::DEFAULT,
-        );
-    });
-}
-
-/// [`sgemm_nt`] with an explicit pack buffer.
-///
-/// # Panics
-/// Panics on length mismatches or undersized scratch.
-pub fn sgemm_nt_scratch(
-    a: &[f32],
-    bt: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    scratch: &mut [f32],
-) {
-    sgemm_nt_scratch_with(a, bt, out, m, k, n, scratch, GemmSchedule::DEFAULT);
-}
-
-/// [`sgemm_nt_scratch`] under an explicit [`GemmSchedule`].
-///
-/// # Panics
-/// Panics on length mismatches or undersized scratch.
-#[allow(clippy::too_many_arguments)]
-pub fn sgemm_nt_scratch_with(
-    a: &[f32],
-    bt: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    scratch: &mut [f32],
-    schedule: GemmSchedule,
-) {
-    assert_eq!(a.len(), m * k, "lhs buffer size mismatch");
-    assert_eq!(bt.len(), n * k, "rhs (transposed) buffer size mismatch");
-    assert_eq!(out.len(), m * n, "out buffer size mismatch");
-    gemm_core(a, AStore::RowMajor, bt, BStore::Transposed, out, m, k, n, scratch, schedule);
-}
-
-/// `out[m×n] += at[k×m]ᵀ * b[k×n]`: the left-hand operand is stored
-/// transposed. Backs GEMM-based transposed convolution, where the column
-/// matrix arrives `[k × spatial]`.
-///
-/// # Panics
-/// Panics if slice lengths disagree with `m`, `k`, `n`.
-pub fn sgemm_tn(at: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    assert_eq!(at.len(), k * m, "lhs (transposed) buffer size mismatch");
-    assert_eq!(b.len(), k * n, "rhs buffer size mismatch");
-    assert_eq!(out.len(), m * n, "out buffer size mismatch");
-    with_tl_scratch(sgemm_scratch_floats(m, k, n), |s| {
-        gemm_core(
-            at,
-            AStore::Transposed,
-            b,
-            BStore::RowMajor,
-            out,
-            m,
-            k,
-            n,
-            s,
-            GemmSchedule::DEFAULT,
-        );
-    });
-}
-
-/// [`sgemm_tn`] with an explicit pack buffer.
-///
-/// # Panics
-/// Panics on length mismatches or undersized scratch.
-pub fn sgemm_tn_scratch(
-    at: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    scratch: &mut [f32],
-) {
-    sgemm_tn_scratch_with(at, b, out, m, k, n, scratch, GemmSchedule::DEFAULT);
-}
-
-/// [`sgemm_tn_scratch`] under an explicit [`GemmSchedule`].
-///
-/// # Panics
-/// Panics on length mismatches or undersized scratch.
-#[allow(clippy::too_many_arguments)]
-pub fn sgemm_tn_scratch_with(
-    at: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    scratch: &mut [f32],
-    schedule: GemmSchedule,
-) {
-    assert_eq!(at.len(), k * m, "lhs (transposed) buffer size mismatch");
-    assert_eq!(b.len(), k * n, "rhs buffer size mismatch");
-    assert_eq!(out.len(), m * n, "out buffer size mismatch");
-    gemm_core(at, AStore::Transposed, b, BStore::RowMajor, out, m, k, n, scratch, schedule);
-}
-
-/// Convenience: `a[m×k] * b[k×n]` into a fresh zeroed buffer.
-pub fn sgemm_alloc(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
-    let mut out = vec![0.0f32; m * n];
-    sgemm(a, b, &mut out, m, k, n);
-    out
+    let astore = if transpose_a { AStore::Transposed } else { AStore::RowMajor };
+    let bstore = if transpose_b { BStore::Transposed } else { BStore::RowMajor };
+    gemm_core(a, astore, b, bstore, out, m, k, n, scratch, schedule);
 }
 
 /// The pre-blocking kernel, kept verbatim as the performance baseline for
@@ -848,12 +695,55 @@ mod tests {
         (0..len).map(|i| ((i * mul % md) as f32) * scale - off).collect()
     }
 
+    /// `rows×cols` row-major → `cols×rows` row-major.
+    fn transpose(x: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+        let mut t = vec![0.0f32; x.len()];
+        for r in 0..rows {
+            for c in 0..cols {
+                t[c * rows + r] = x[r * cols + c];
+            }
+        }
+        t
+    }
+
+    /// `sgemm` into a fresh zeroed buffer.
+    fn fresh_sgemm(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+        let mut out = vec![0.0f32; m * n];
+        sgemm(a, b, &mut out, m, k, n);
+        out
+    }
+
+    /// [`gemm`] into a fresh zeroed buffer, drawing from exactly the scratch
+    /// [`gemm_scratch_floats`] advertises for `s`.
+    #[allow(clippy::too_many_arguments)]
+    fn fresh_gemm(
+        a: &[f32],
+        ta: bool,
+        b: &[f32],
+        tb: bool,
+        m: usize,
+        k: usize,
+        n: usize,
+        s: GemmSchedule,
+    ) -> Vec<f32> {
+        let mut scratch = vec![0.0f32; gemm_scratch_floats(m, k, n, s)];
+        let mut out = vec![0.0f32; m * n];
+        gemm(a, ta, b, tb, &mut out, m, k, n, &mut scratch, s);
+        out
+    }
+
+    fn assert_close(got: &[f32], want: &[f32], what: &str) {
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert!((g - w).abs() < 1e-3, "{what}[{i}]: {g} vs {w}");
+        }
+    }
+
     #[test]
     fn matches_naive_small() {
         let (m, k, n) = (3, 4, 5);
         let a: Vec<f32> = (0..m * k).map(|i| (i as f32) * 0.5 - 2.0).collect();
         let b: Vec<f32> = (0..k * n).map(|i| ((i * 7 % 11) as f32) - 5.0).collect();
-        assert_eq!(sgemm_alloc(&a, &b, m, k, n), naive(&a, &b, m, k, n));
+        assert_eq!(fresh_sgemm(&a, &b, m, k, n), naive(&a, &b, m, k, n));
     }
 
     #[test]
@@ -861,11 +751,7 @@ mod tests {
         let (m, k, n) = (70, 70, 70);
         let a = fill(m * k, 13, 17, 1.0 / 8.0, 1.0);
         let b = fill(k * n, 5, 19, 1.0 / 9.0, 1.0);
-        let got = sgemm_alloc(&a, &b, m, k, n);
-        let want = naive(&a, &b, m, k, n);
-        for (g, w) in got.iter().zip(&want) {
-            assert!((g - w).abs() < 1e-3, "{g} vs {w}");
-        }
+        assert_close(&fresh_sgemm(&a, &b, m, k, n), &naive(&a, &b, m, k, n), "70³");
     }
 
     #[test]
@@ -883,11 +769,8 @@ mod tests {
         for &(m, k, n) in &[(65, 130, 63), (1, 300, 9), (37, 1, 41), (130, 65, 7)] {
             let a = fill(m * k, 7, 23, 0.125, 1.0);
             let b = fill(k * n, 11, 29, 0.0625, 0.9);
-            let got = sgemm_alloc(&a, &b, m, k, n);
-            let want = naive(&a, &b, m, k, n);
-            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-                assert!((g - w).abs() < 1e-3, "({m},{k},{n})[{i}]: {g} vs {w}");
-            }
+            let what = format!("({m},{k},{n})");
+            assert_close(&fresh_sgemm(&a, &b, m, k, n), &naive(&a, &b, m, k, n), &what);
         }
     }
 
@@ -896,19 +779,10 @@ mod tests {
         let (m, k, n) = (33, 70, 18);
         let a = fill(m * k, 3, 13, 0.25, 1.5);
         let bt = fill(n * k, 5, 11, 0.5, 1.25);
-        // Materialize B = Bᵀ row-major and compare against plain sgemm.
-        let mut b = vec![0.0f32; k * n];
-        for j in 0..n {
-            for kk in 0..k {
-                b[kk * n + j] = bt[j * k + kk];
-            }
-        }
-        let mut got = vec![0.0f32; m * n];
-        sgemm_nt(&a, &bt, &mut got, m, k, n);
-        let want = naive(&a, &b, m, k, n);
-        for (g, w) in got.iter().zip(&want) {
-            assert!((g - w).abs() < 1e-3, "{g} vs {w}");
-        }
+        // Materialize B = Bᵀ row-major and compare against the naive product.
+        let b = transpose(&bt, n, k);
+        let got = fresh_gemm(&a, false, &bt, true, m, k, n, GemmSchedule::DEFAULT);
+        assert_close(&got, &naive(&a, &b, m, k, n), "nt");
     }
 
     #[test]
@@ -916,18 +790,9 @@ mod tests {
         let (m, k, n) = (29, 66, 40);
         let at = fill(k * m, 7, 17, 0.25, 1.75);
         let b = fill(k * n, 3, 19, 0.5, 1.0);
-        let mut a = vec![0.0f32; m * k];
-        for i in 0..m {
-            for kk in 0..k {
-                a[i * k + kk] = at[kk * m + i];
-            }
-        }
-        let mut got = vec![0.0f32; m * n];
-        sgemm_tn(&at, &b, &mut got, m, k, n);
-        let want = naive(&a, &b, m, k, n);
-        for (g, w) in got.iter().zip(&want) {
-            assert!((g - w).abs() < 1e-3, "{g} vs {w}");
-        }
+        let a = transpose(&at, k, m);
+        let got = fresh_gemm(&at, true, &b, false, m, k, n, GemmSchedule::DEFAULT);
+        assert_close(&got, &naive(&a, &b, m, k, n), "tn");
     }
 
     #[test]
@@ -935,15 +800,12 @@ mod tests {
         let (m, k, n) = (64, 128, 96);
         let a = fill(m * k, 13, 31, 0.125, 1.9);
         let b = fill(k * n, 17, 37, 0.0625, 1.1);
-        let floats = sgemm_scratch_floats(m, k, n);
-        assert!(floats > 0, "blocked path must request scratch");
-        let mut scratch = vec![0.0f32; floats];
-        let mut got = vec![0.0f32; m * n];
-        sgemm_scratch(&a, &b, &mut got, m, k, n, &mut scratch);
-        let want = naive(&a, &b, m, k, n);
-        for (g, w) in got.iter().zip(&want) {
-            assert!((g - w).abs() < 1e-3, "{g} vs {w}");
-        }
+        assert!(
+            gemm_scratch_floats(m, k, n, GemmSchedule::DEFAULT) > 0,
+            "blocked path must request scratch"
+        );
+        let got = fresh_gemm(&a, false, &b, false, m, k, n, GemmSchedule::DEFAULT);
+        assert_close(&got, &naive(&a, &b, m, k, n), "scratch");
     }
 
     #[test]
@@ -951,12 +813,9 @@ mod tests {
         let (m, k, n) = (48, 80, 56);
         let a = fill(m * k, 9, 41, 0.0625, 1.2);
         let b = fill(k * n, 23, 43, 0.03125, 0.6);
-        let got = sgemm_alloc(&a, &b, m, k, n);
         let mut want = vec![0.0f32; m * n];
         sgemm_reference(&a, &b, &mut want, m, k, n);
-        for (g, w) in got.iter().zip(&want) {
-            assert!((g - w).abs() < 1e-3, "{g} vs {w}");
-        }
+        assert_close(&fresh_sgemm(&a, &b, m, k, n), &want, "reference");
     }
 
     #[test]
@@ -976,13 +835,8 @@ mod tests {
             let b = fill(k * n, 11, 29, 0.0625, 0.9);
             let want = naive(&a, &b, m, k, n);
             for s in schedules {
-                let floats = sgemm_scratch_floats_with(m, k, n, s);
-                let mut scratch = vec![0.0f32; floats];
-                let mut got = vec![0.0f32; m * n];
-                sgemm_scratch_with(&a, &b, &mut got, m, k, n, &mut scratch, s);
-                for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-                    assert!((g - w).abs() < 1e-3, "({m},{k},{n}) {} [{i}]: {g} vs {w}", s.label());
-                }
+                let got = fresh_gemm(&a, false, &b, false, m, k, n, s);
+                assert_close(&got, &want, &format!("({m},{k},{n}) {}", s.label()));
             }
         }
     }
@@ -993,42 +847,23 @@ mod tests {
         let s = GemmSchedule { kc: 7, mc: 8, nc: 16 };
         let at = fill(k * m, 7, 17, 0.25, 1.75);
         let bt = fill(n * k, 5, 11, 0.5, 1.25);
-        let mut a = vec![0.0f32; m * k];
-        for i in 0..m {
-            for kk in 0..k {
-                a[i * k + kk] = at[kk * m + i];
-            }
-        }
-        let mut b = vec![0.0f32; k * n];
-        for j in 0..n {
-            for kk in 0..k {
-                b[kk * n + j] = bt[j * k + kk];
-            }
-        }
+        let (a, b) = (transpose(&at, k, m), transpose(&bt, n, k));
         let want = naive(&a, &b, m, k, n);
-        let mut scratch = vec![0.0f32; sgemm_scratch_floats_with(m, k, n, s)];
-        let mut got = vec![0.0f32; m * n];
-        sgemm_tn_scratch_with(&at, &b, &mut got, m, k, n, &mut scratch, s);
-        for (g, w) in got.iter().zip(&want) {
-            assert!((g - w).abs() < 1e-3, "tn: {g} vs {w}");
-        }
-        got.fill(0.0);
-        scratch.fill(0.0);
-        sgemm_nt_scratch_with(&a, &bt, &mut got, m, k, n, &mut scratch, s);
-        for (g, w) in got.iter().zip(&want) {
-            assert!((g - w).abs() < 1e-3, "nt: {g} vs {w}");
-        }
+        assert_close(&fresh_gemm(&at, true, &b, false, m, k, n, s), &want, "tn");
+        assert_close(&fresh_gemm(&a, false, &bt, true, m, k, n, s), &want, "nt");
+        // Both operands transposed: the flags compose independently.
+        assert_close(&fresh_gemm(&at, true, &bt, true, m, k, n, s), &want, "tt");
     }
 
     #[test]
     fn small_path_needs_no_scratch() {
-        assert_eq!(sgemm_scratch_floats(4, 4, 4), 0);
-        assert_eq!(sgemm_scratch_floats(0, 128, 128), 0);
-        // And the scratch entry point accepts an empty buffer there.
+        assert_eq!(gemm_scratch_floats(4, 4, 4, GemmSchedule::DEFAULT), 0);
+        assert_eq!(gemm_scratch_floats(0, 128, 128, GemmSchedule::DEFAULT), 0);
+        // And the entry point accepts an empty buffer there.
         let a = [1.0f32; 16];
         let b = [2.0f32; 16];
         let mut out = [0.0f32; 16];
-        sgemm_scratch(&a, &b, &mut out, 4, 4, 4, &mut []);
+        gemm(&a, false, &b, false, &mut out, 4, 4, 4, &mut [], GemmSchedule::DEFAULT);
         assert!(out.iter().all(|&v| (v - 8.0).abs() < 1e-6));
     }
 }

@@ -1,6 +1,6 @@
 //! Kernel schedules as data.
 //!
-//! The blocked GEMM in [`crate::matmul`] used to hard-code its cache
+//! The blocked GEMM in [`mod@crate::matmul`] used to hard-code its cache
 //! blocking (`KC`/`MC`/`NC`) as compile-time constants tuned for one
 //! machine and one shape regime. The autotuning plane makes those
 //! parameters *values*: a [`GemmSchedule`] travels with the call, the

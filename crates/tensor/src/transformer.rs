@@ -1,8 +1,8 @@
 //! Transformer kernels: batched matmul, layer normalization, head
 //! split/merge permutations.
 //!
-//! Batched matmul routes every batch element through the packed GEMM of
-//! [`crate::matmul`] (sharing its [`GemmSchedule`] blocking and scratch
+//! Batched matmul routes every batch element through the packed [`gemm`]
+//! (sharing its [`GemmSchedule`] blocking and [`gemm_scratch_floats`]
 //! formula), so attention scores and context projections run on the same
 //! cache-blocked microkernel as convolutions and linears. Batches execute
 //! sequentially over one scratch reservation — the planner reserves the
@@ -18,10 +18,7 @@
 //! softmax) rank-3 and keeps graph rebatching trivial — the leading
 //! dimension stays a multiple of the logical batch.
 
-use crate::matmul::{
-    sgemm_nt_scratch_with, sgemm_scratch_floats_with, sgemm_scratch_with, sgemm_tn_scratch_with,
-    with_tl_scratch,
-};
+use crate::matmul::{gemm, gemm_scratch_floats, with_tl_scratch};
 use crate::schedule::GemmSchedule;
 use crate::tensor::{Tensor, TensorView};
 
@@ -32,8 +29,7 @@ use crate::tensor::{Tensor, TensorView};
 /// # Panics
 /// Panics unless both operands have equal rank ≥ 2, identical leading
 /// (batch) dimensions, and an agreeing contraction dimension. Both flags
-/// set at once is rejected — no op in the workload needs `AᵀBᵀ` and the
-/// packed GEMM has no TT variant.
+/// set at once is rejected — no op in the workload needs `AᵀBᵀ`.
 pub fn matmul_dims(
     a_shape: &[usize],
     b_shape: &[usize],
@@ -60,15 +56,10 @@ pub fn matmul_dims(
     (batch, m, ka, n)
 }
 
-/// Working-memory floats one batched matmul needs: the pack buffers of a
-/// single `(m, k, n)` GEMM — batch elements run sequentially reusing them.
-pub fn matmul_scratch_floats_with(m: usize, k: usize, n: usize, schedule: GemmSchedule) -> usize {
-    sgemm_scratch_floats_with(m, k, n, schedule)
-}
-
 /// Batched matmul into a preallocated buffer with explicit scratch of at
-/// least [`matmul_scratch_floats_with`] floats for the same schedule —
-/// the slab executor's entry point.
+/// least [`gemm_scratch_floats`]`(m, k, n, schedule)` floats — one GEMM's
+/// pack buffers, reused by every batch element in turn. The slab
+/// executor's entry point.
 ///
 /// `out[b] = A[b] (ᵀ) · B[b] (ᵀ)` for every leading-dim batch element;
 /// `out` is overwritten, not accumulated into.
@@ -76,7 +67,7 @@ pub fn matmul_scratch_floats_with(m: usize, k: usize, n: usize, schedule: GemmSc
 /// # Panics
 /// Panics on shape mismatches (see [`matmul_dims`]), wrong `out` length,
 /// or undersized scratch.
-pub fn matmul_into_scratch_with(
+pub fn matmul_into(
     a: TensorView<'_>,
     b: TensorView<'_>,
     transpose_a: bool,
@@ -93,39 +84,22 @@ pub fn matmul_into_scratch_with(
     for (bi, o) in out.chunks_mut(m * n).enumerate() {
         let av = &ad[bi * m * k..(bi + 1) * m * k];
         let bv = &bd[bi * k * n..(bi + 1) * k * n];
-        match (transpose_a, transpose_b) {
-            (false, false) => sgemm_scratch_with(av, bv, o, m, k, n, scratch, schedule),
-            (false, true) => sgemm_nt_scratch_with(av, bv, o, m, k, n, scratch, schedule),
-            (true, false) => sgemm_tn_scratch_with(av, bv, o, m, k, n, scratch, schedule),
-            (true, true) => unreachable!("rejected by matmul_dims"),
-        }
+        gemm(av, transpose_a, bv, transpose_b, o, m, k, n, scratch, schedule);
     }
-}
-
-/// [`matmul_into_scratch_with`] borrowing thread-local scratch under the
-/// default schedule.
-pub fn matmul_into(
-    a: TensorView<'_>,
-    b: TensorView<'_>,
-    transpose_a: bool,
-    transpose_b: bool,
-    out: &mut [f32],
-) {
-    let (_, m, k, n) = matmul_dims(a.shape(), b.shape(), transpose_a, transpose_b);
-    with_tl_scratch(matmul_scratch_floats_with(m, k, n, GemmSchedule::DEFAULT), |s| {
-        matmul_into_scratch_with(a, b, transpose_a, transpose_b, out, s, GemmSchedule::DEFAULT);
-    });
 }
 
 /// Batched matmul returning a fresh tensor.
 pub fn matmul(a: &Tensor, b: &Tensor, transpose_a: bool, transpose_b: bool) -> Tensor {
-    let (_, m, _, n) = matmul_dims(a.shape(), b.shape(), transpose_a, transpose_b);
+    let (_, m, k, n) = matmul_dims(a.shape(), b.shape(), transpose_a, transpose_b);
     let r = a.shape().len();
     let mut shape = a.shape()[..r - 2].to_vec();
     shape.push(m);
     shape.push(n);
     let mut out = Tensor::zeros(&shape);
-    matmul_into(a.view(), b.view(), transpose_a, transpose_b, out.data_mut());
+    let s = GemmSchedule::DEFAULT;
+    with_tl_scratch(gemm_scratch_floats(m, k, n, s), |scratch| {
+        matmul_into(a.view(), b.view(), transpose_a, transpose_b, out.data_mut(), scratch, s);
+    });
     out
 }
 

@@ -1,15 +1,11 @@
-//! Property tests for the cache-blocked packed SGEMM: the blocked kernel
-//! (all three layout variants) must agree with a naive triple loop on
-//! ragged shapes that exercise every tail-tile combination of the MR×NR
+//! Property tests for the cache-blocked packed GEMM: the blocked kernel
+//! (every operand-storage combination) must agree with a naive triple loop
+//! on ragged shapes that exercise every tail-tile combination of the MR×NR
 //! register tile and the KC/MC/NC panel blocking, and the scratch-floats
-//! formula must be honored exactly by the `_scratch` entry points.
+//! formula must be honored exactly by the entry point.
 
 use proptest::prelude::*;
-use temco_tensor::{
-    sgemm, sgemm_nt_scratch, sgemm_nt_scratch_with, sgemm_reference, sgemm_scratch,
-    sgemm_scratch_floats, sgemm_scratch_floats_with, sgemm_scratch_with, sgemm_tn_scratch,
-    sgemm_tn_scratch_with, GemmSchedule, Tensor,
-};
+use temco_tensor::{gemm, gemm_scratch_floats, sgemm, sgemm_reference, GemmSchedule, Tensor};
 
 /// Shapes straddling the microkernel (4×8), the KC=256/MC=64 panel edges,
 /// and the degenerate single-row/column cases.
@@ -27,6 +23,17 @@ fn matmul_naive(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> 
         }
     }
     out
+}
+
+/// `rows×cols` row-major → `cols×rows` row-major.
+fn transpose(x: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+    let mut t = vec![0.0f32; x.len()];
+    for r in 0..rows {
+        for c in 0..cols {
+            t[c * rows + r] = x[r * cols + c];
+        }
+    }
+    t
 }
 
 fn rel_close(got: &[f32], want: &[f32], k: usize) -> Result<(), String> {
@@ -80,29 +87,18 @@ proptest! {
         let b = Tensor::randn(&[k, n], seed ^ 0xC3C3).data().to_vec();
         let want = matmul_naive(&a, &b, m, k, n);
 
-        // B stored transposed (n×k): sgemm_nt(a, bt) == a·b.
-        let mut bt = vec![0.0f32; n * k];
-        for p in 0..k {
-            for j in 0..n {
-                bt[j * k + p] = b[p * n + j];
-            }
+        // B stored transposed (n×k), A stored transposed (k×m), and both:
+        // every storage combination computes a·b.
+        let (at, bt) = (transpose(&a, m, k), transpose(&b, k, n));
+        let s = GemmSchedule::DEFAULT;
+        let mut scratch = vec![0.0f32; gemm_scratch_floats(m, k, n, s)];
+        for (ta, tb) in [(false, true), (true, false), (true, true)] {
+            let lhs = if ta { &at } else { &a };
+            let rhs = if tb { &bt } else { &b };
+            let mut got = vec![0.0f32; m * n];
+            gemm(lhs, ta, rhs, tb, &mut got, m, k, n, &mut scratch, s);
+            prop_assert!(rel_close(&got, &want, k).is_ok(), "gemm ta={ta} tb={tb} {m}x{k}x{n}");
         }
-        let floats = sgemm_scratch_floats(m, k, n);
-        let mut scratch = vec![0.0f32; floats];
-        let mut got = vec![0.0f32; m * n];
-        sgemm_nt_scratch(&a, &bt, &mut got, m, k, n, &mut scratch);
-        prop_assert!(rel_close(&got, &want, k).is_ok(), "sgemm_nt {m}x{k}x{n}");
-
-        // A stored transposed (k×m): sgemm_tn(at, b) == a·b.
-        let mut at = vec![0.0f32; k * m];
-        for i in 0..m {
-            for p in 0..k {
-                at[p * m + i] = a[i * k + p];
-            }
-        }
-        got.fill(0.0);
-        sgemm_tn_scratch(&at, &b, &mut got, m, k, n, &mut scratch);
-        prop_assert!(rel_close(&got, &want, k).is_ok(), "sgemm_tn {m}x{k}x{n}");
     }
 
     #[test]
@@ -125,31 +121,16 @@ proptest! {
         let b = Tensor::randn(&[k, n], seed ^ 0x7E57).data().to_vec();
         let want = matmul_naive(&a, &b, m, k, n);
 
-        let mut scratch = vec![0.0f32; sgemm_scratch_floats_with(m, k, n, s)];
-        let mut got = vec![0.0f32; m * n];
-        sgemm_scratch_with(&a, &b, &mut got, m, k, n, &mut scratch, s);
-        prop_assert!(rel_close(&got, &want, k).is_ok(),
-            "sgemm_scratch_with {m}x{k}x{n} {s:?}: {}", rel_close(&got, &want, k).unwrap_err());
-
-        let mut bt = vec![0.0f32; n * k];
-        for p in 0..k {
-            for j in 0..n {
-                bt[j * k + p] = b[p * n + j];
-            }
+        let (at, bt) = (transpose(&a, m, k), transpose(&b, k, n));
+        let mut scratch = vec![0.0f32; gemm_scratch_floats(m, k, n, s)];
+        for (ta, tb) in [(false, false), (false, true), (true, false)] {
+            let lhs = if ta { &at } else { &a };
+            let rhs = if tb { &bt } else { &b };
+            let mut got = vec![0.0f32; m * n];
+            gemm(lhs, ta, rhs, tb, &mut got, m, k, n, &mut scratch, s);
+            prop_assert!(rel_close(&got, &want, k).is_ok(),
+                "gemm ta={ta} tb={tb} {m}x{k}x{n} {s:?}: {}", rel_close(&got, &want, k).unwrap_err());
         }
-        got.fill(0.0);
-        sgemm_nt_scratch_with(&a, &bt, &mut got, m, k, n, &mut scratch, s);
-        prop_assert!(rel_close(&got, &want, k).is_ok(), "sgemm_nt {m}x{k}x{n} {s:?}");
-
-        let mut at = vec![0.0f32; k * m];
-        for i in 0..m {
-            for p in 0..k {
-                at[p * m + i] = a[i * k + p];
-            }
-        }
-        got.fill(0.0);
-        sgemm_tn_scratch_with(&at, &b, &mut got, m, k, n, &mut scratch, s);
-        prop_assert!(rel_close(&got, &want, k).is_ok(), "sgemm_tn {m}x{k}x{n} {s:?}");
     }
 
     #[test]
@@ -163,8 +144,9 @@ proptest! {
         let b = vec![0.25f32; k * n];
         let mut out = vec![0.0f32; m * n];
         // Exactly the advertised size must suffice — no hidden slack.
-        let mut scratch = vec![0.0f32; sgemm_scratch_floats(m, k, n)];
-        sgemm_scratch(&a, &b, &mut out, m, k, n, &mut scratch);
+        let s = GemmSchedule::DEFAULT;
+        let mut scratch = vec![0.0f32; gemm_scratch_floats(m, k, n, s)];
+        gemm(&a, false, &b, false, &mut out, m, k, n, &mut scratch, s);
         let want = 0.5 * 0.25 * k as f32;
         prop_assert!(out.iter().all(|&v| (v - want).abs() < 1e-3 * k as f32));
     }

@@ -1,17 +1,24 @@
-//! Memory-behaviour integration tests: static slab allocation, arena
-//! planning, rescheduling, and timeline shape on real models.
+//! Memory-behaviour integration tests: static slab allocation, alias-free
+//! arena planning, rescheduling, and timeline shape on real models.
 
 use proptest::prelude::*;
 use temco::{compare_outputs, Compiler, CompilerOptions, OptLevel};
-use temco_ir::Graph;
+use temco_ir::{liveness, Graph};
 use temco_models::{ModelConfig, ModelId};
 use temco_runtime::{
-    execute, plan_allocation, plan_arena, plan_memory, validate_arena, ExecMode, ExecOptions,
+    execute, plan_allocation, plan_allocation_with_mode, plan_memory, AliasMode, AllocationPlan,
+    ExecMode, ExecOptions,
 };
 use temco_tensor::Tensor;
 
 fn cfg() -> ModelConfig {
     ModelConfig { batch: 1, image: 64, num_classes: 10, classifier_width: 64, seed: 3 }
+}
+
+/// The alias-free static plan: one disjoint interval per tensor
+/// (Pisarchyk & Lee's arena model). Its value region is the arena.
+fn arena_plan(g: &Graph) -> AllocationPlan {
+    plan_allocation_with_mode(g, &liveness(g), AliasMode::Off)
 }
 
 #[test]
@@ -21,19 +28,14 @@ fn arena_plans_are_valid_on_compiled_models() {
         let g = id.build(&cfg());
         for level in [OptLevel::Decomposed, OptLevel::SkipOptFusion] {
             let (opt, _) = compiler.compile(&g, level);
-            let arena = plan_arena(&opt);
-            assert!(validate_arena(&arena).is_empty(), "{} @ {}", id.name(), level.label());
+            let arena = arena_plan(&opt);
+            assert!(arena.validate().is_empty(), "{} @ {}", id.name(), level.label());
             let peak = plan_memory(&opt).peak_internal_bytes;
-            assert!(arena.arena_bytes >= peak);
-            // Greedy-by-size should stay within 2× of the live lower bound
-            // on these graphs (it is exactly 1.0× on most).
-            assert!(
-                arena.fragmentation() < 2.0,
-                "{} @ {}: fragmentation {}",
-                id.name(),
-                level.label(),
-                arena.fragmentation()
-            );
+            assert!(arena.value_bytes >= peak);
+            // Best-fit should stay within 2× of the live lower bound on
+            // these graphs (it is exactly 1.0× on most).
+            let frag = arena.fragmentation().ratio;
+            assert!(frag < 2.0, "{} @ {}: fragmentation {frag}", id.name(), level.label());
         }
     }
 }
@@ -46,8 +48,8 @@ fn temco_reduces_arena_size_not_just_live_peak() {
     let g = ModelId::UnetSmall.build(&cfg());
     let (dec, _) = compiler.compile(&g, OptLevel::Decomposed);
     let (opt, _) = compiler.compile(&g, OptLevel::SkipOptFusion);
-    let a_dec = plan_arena(&dec).arena_bytes;
-    let a_opt = plan_arena(&opt).arena_bytes;
+    let a_dec = arena_plan(&dec).value_bytes;
+    let a_opt = arena_plan(&opt).value_bytes;
     assert!(a_opt < a_dec, "arena {a_dec} → {a_opt}");
 }
 
