@@ -4,13 +4,13 @@
 //! The oracle structure has two tiers because decomposition is *lossy*
 //! (ratio < 1 truncates singular values):
 //!
-//! * **Same graph, different execution paths** — per-node reference
-//!   executor vs slab executor (alias-aware and alias-free layouts) vs
-//!   `Engine` must agree to tight tolerance; they run the same kernels,
-//!   differing only in where memory comes from. Any drift here is a
-//!   memory-planning bug (aliasing, stale slab bytes). The alias A/B pair
-//!   additionally asserts sharing never grows the footprint or the copy
-//!   volume.
+//! * **Same graph, different execution paths** — the per-node reference
+//!   executor vs the slab `Engine` (alias-aware and alias-free layouts)
+//!   must agree to tight tolerance; they run the same kernels, differing
+//!   only in where memory comes from. Any drift here is a memory-planning
+//!   bug (aliasing, stale slab bytes). The alias A/B pair additionally
+//!   asserts sharing never grows the footprint or the copy volume, and
+//!   runs the independent plan checker on the alias-free layout.
 //! * **Opt levels vs the `Decomposed` baseline** — `Fusion` / `Skip-Opt` /
 //!   `Skip-Opt+Fusion` rewrite the *decomposed* graph semantics-preservingly,
 //!   so they are compared against the `Decomposed` output (not the original)
@@ -29,7 +29,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use temco::{Compiler, CompilerOptions, DecomposeOptions, Method, OptLevel};
 use temco_ir::{liveness, Graph};
-use temco_runtime::{execute, plan_allocation_with_mode, AliasMode, Engine, ExecMode, ExecOptions};
+use temco_runtime::{execute, plan_allocation_with_mode, AliasMode, ExecMode, ExecOptions};
 use temco_tensor::Tensor;
 
 use crate::gen::{random_graph, GenConfig};
@@ -163,12 +163,10 @@ pub fn check_graph(g: &Graph, seed: u64, cfg: &DiffConfig) -> Result<(), Failure
 
     let input = Tensor::rand_uniform(g.shape(g.inputs[0]), seed ^ 0x5EED, -1.0, 1.0);
 
-    // Execution-path tier: per-node reference vs slab vs Engine.
+    // Execution-path tier: per-node reference vs the slab Engine.
     let reference = run_mode(g, &input, ExecMode::PerNode, seed, "pernode")?;
     let slab = run_mode(g, &input, ExecMode::Slab, seed, "slab")?;
     compare(seed, "slab-vs-pernode", &slab, &reference, PATH_TOL)?;
-    let engine_out = run_engine(g, &input, seed, "engine")?;
-    compare(seed, "engine-vs-pernode", &engine_out, &reference, PATH_TOL)?;
 
     // Alias A/B tier: the alias-free layout must pass the same independent
     // rules (which sanction sharing, never require it), execute to the same
@@ -211,8 +209,7 @@ pub fn check_graph(g: &Graph, seed: u64, cfg: &DiffConfig) -> Result<(), Failure
     Ok(())
 }
 
-/// Execute in one mode; checks the slab mode's dynamic high-water equals
-/// the planned slab exactly (the executor stayed inside the plan).
+/// [`run`] in one mode, with the alias-aware slab plan.
 fn run_mode(
     g: &Graph,
     input: &Tensor,
@@ -220,23 +217,21 @@ fn run_mode(
     seed: u64,
     stage: &str,
 ) -> Result<Vec<Tensor>, Failure> {
-    let res = guarded(|| {
-        execute(
-            g,
-            std::slice::from_ref(input),
-            ExecOptions { time_nodes: false, mode, ..Default::default() },
-        )
-    })
-    .map_err(|m| fail(seed, stage, format!("executor panicked: {m}")))?
-    .map_err(|e| fail(seed, stage, format!("executor error: {e}")))?;
-    if mode == ExecMode::Slab && res.slab_high_water != res.slab_bytes {
-        return Err(fail(
-            seed,
-            stage,
-            format!("dynamic high-water {} ≠ planned slab {}", res.slab_high_water, res.slab_bytes),
-        ));
-    }
-    Ok(res.outputs)
+    run(g, input, ExecOptions { mode, ..Default::default() }, seed, stage)
+}
+
+/// Execute once; a panic or a typed error becomes a [`Failure`] at `stage`.
+fn run(
+    g: &Graph,
+    input: &Tensor,
+    opts: ExecOptions,
+    seed: u64,
+    stage: &str,
+) -> Result<Vec<Tensor>, Failure> {
+    guarded(|| execute(g, std::slice::from_ref(input), opts))
+        .map_err(|m| fail(seed, stage, format!("executor panicked: {m}")))?
+        .map(|res| res.outputs)
+        .map_err(|e| fail(seed, stage, format!("executor error: {e}")))
 }
 
 /// Alias-analysis A/B check: plan and run the graph with aliasing **off**,
@@ -284,33 +279,9 @@ fn check_alias_ab(
         ));
     }
 
-    let res = guarded(|| {
-        execute(
-            g,
-            std::slice::from_ref(input),
-            ExecOptions { time_nodes: false, alias: AliasMode::Off, ..Default::default() },
-        )
-    })
-    .map_err(|m| fail(seed, stage, format!("executor panicked: {m}")))?
-    .map_err(|e| fail(seed, stage, format!("executor error: {e}")))?;
-    if res.slab_high_water != res.slab_bytes {
-        return Err(fail(
-            seed,
-            stage,
-            format!("dynamic high-water {} ≠ planned slab {}", res.slab_high_water, res.slab_bytes),
-        ));
-    }
-    compare(seed, "noalias-vs-pernode", &res.outputs, reference, PATH_TOL)
-}
-
-fn run_engine(g: &Graph, input: &Tensor, seed: u64, stage: &str) -> Result<Vec<Tensor>, Failure> {
-    guarded(|| -> Result<Vec<Tensor>, String> {
-        let mut e = Engine::new(g.clone()).map_err(|e| format!("compile: {e}"))?;
-        let outs = e.run(std::slice::from_ref(input)).map_err(|e| format!("run: {e}"))?;
-        Ok(outs.to_vec())
-    })
-    .map_err(|m| fail(seed, stage, format!("engine panicked: {m}")))?
-    .map_err(|m| fail(seed, stage, m))
+    let opts = ExecOptions { alias: AliasMode::Off, ..Default::default() };
+    let out = run(g, input, opts, seed, stage)?;
+    compare(seed, "noalias-vs-pernode", &out, reference, PATH_TOL)
 }
 
 /// Rebatch to `bucket`, run the batched graph on `bucket` distinct samples,

@@ -15,7 +15,9 @@ use std::time::Duration;
 
 use temco::{compare_outputs, Compiler, CompilerOptions, DecomposeOptions, Method, OptLevel};
 use temco_models::{EncoderId, ModelConfig, ModelId};
-use temco_runtime::{execute, plan_allocation_with_mode, plan_memory, AliasMode, ExecOptions};
+use temco_runtime::{
+    execute, plan_allocation, plan_allocation_with_mode, plan_memory, AliasMode, ExecOptions,
+};
 use temco_tensor::Tensor;
 
 /// Parsed command-line options.
@@ -573,22 +575,31 @@ fn main() -> ExitCode {
                         res.total_time / base.total_time.max(1e-9)
                     );
                     println!(
-                        "peak internal: {:.2} MiB → {:.2} MiB",
-                        mib(base.memory.peak_bytes()),
-                        mib(res.memory.peak_bytes())
+                        "peak internal: {:.2} MiB → {:.2} MiB (planned)",
+                        mib(plan_memory(&dec).peak_internal_bytes),
+                        mib(plan_memory(&opt).peak_internal_bytes)
                     );
                     println!(
-                        "slab:      {:.2} MiB → {:.2} MiB (high-water match: {})",
+                        "slab:      {:.2} MiB → {:.2} MiB",
                         mib(base.slab_bytes),
-                        mib(res.slab_bytes),
-                        if res.slab_high_water == res.slab_bytes { "exact" } else { "MISMATCH" }
+                        mib(res.slab_bytes)
                     );
+                    // The slab plan the optimized run executed, re-derived by
+                    // the independent invariant checker.
+                    let violations = temco_check::check_plan_against(&opt, &plan_allocation(&opt));
+                    for v in violations.iter().take(3) {
+                        eprintln!("plan invariant: {v}");
+                    }
+                    println!("plan check: {} violations", violations.len());
                     println!(
                         "agreement vs decomposed: {:.4} (max|Δ| {:.2e})",
                         agree.task_agreement, agree.max_abs_diff
                     );
                     if agree.task_agreement < 0.999 {
                         eprintln!("semantic drift detected!");
+                        return ExitCode::FAILURE;
+                    }
+                    if !violations.is_empty() {
                         return ExitCode::FAILURE;
                     }
                 }

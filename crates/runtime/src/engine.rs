@@ -1,9 +1,9 @@
-//! Plan once, run many: a prepared inference engine.
+//! Plan once, run many: the one code path that executes a plan on a slab.
 //!
-//! [`crate::executor::execute`] re-plans, re-allocates its slab, and
-//! records a memory timeline on every call — the right shape for
-//! experiments, the wrong one for deployment. This module splits the
-//! deployment path into two pieces along the mutability boundary:
+//! [`crate::executor::execute`] in [`ExecMode::Slab`](crate::ExecMode::Slab)
+//! is a single [`Engine::run`] on a freshly compiled graph; the server and
+//! the benchmark keep the engine and run it again and again. The deployment
+//! path is split along the mutability boundary:
 //!
 //! * [`CompiledGraph`] — everything immutable and shareable: the verified
 //!   graph (weights included) and its allocation plan (values **and**
@@ -20,13 +20,21 @@
 
 use std::sync::Arc;
 
-use temco_ir::{liveness, Graph, Op};
+use temco_ir::{liveness, Graph, Op, PoolKind, ValueId};
 use temco_obs::{kind, Event, FlightRecorder, Recorder, NO_NODE, NO_TRACE};
-use temco_tensor::Tensor;
+use temco_tensor::{
+    add_n_assign_iter, add_n_into_iter, affine_inplace, affine_into, avg_pool2d_inplace,
+    avg_pool2d_into, concat_channels_into_iter, conv2d_into, conv_transpose2d_into,
+    global_avg_pool_inplace, global_avg_pool_into, layer_norm_inplace, layer_norm_into,
+    linear_into, matmul_into, max_pool2d_inplace, max_pool2d_into, merge_heads_into,
+    softmax_lastdim_inplace, softmax_lastdim_into, split_heads_into, Conv2dParams, Tensor,
+    TensorView,
+};
 
-use crate::alias::AliasMode;
+use crate::alias::{AliasMode, NodeExec};
 use crate::alloc::{plan_allocation_with_schedules, AllocationPlan};
-use crate::executor::{run_node_on_slab, ExecError};
+use crate::executor::{check_graph, check_inputs, ExecError};
+use crate::fused::fused_forward_into;
 use crate::schedule::NodeSchedule;
 
 const F32: usize = std::mem::size_of::<f32>();
@@ -41,10 +49,9 @@ pub struct CompiledGraph {
 
 impl CompiledGraph {
     /// Verify the graph and plan its memory (values + kernel scratch). All
-    /// failure modes of the one-shot executor surface here, before the
-    /// first inference.
+    /// graph-level failure modes surface here, before the first inference.
     pub fn new(g: Graph) -> Result<Self, ExecError> {
-        CompiledGraph::new_with_schedules(g, &[])
+        CompiledGraph::with_alias(g, AliasMode::Full, &[])
     }
 
     /// [`CompiledGraph::new`] with explicit per-node kernel schedules
@@ -53,28 +60,19 @@ impl CompiledGraph {
     /// schedules resolve here, at compile time, so the warm `run` path
     /// stays zero-alloc and schedule-lookup-free.
     pub fn new_with_schedules(g: Graph, schedules: &[NodeSchedule]) -> Result<Self, ExecError> {
-        let violations = temco_ir::verify(&g);
-        if !violations.is_empty() {
-            return Err(ExecError::InvalidGraph { violations });
-        }
-        for node in &g.nodes {
-            if g.values[node.output.0 as usize].shape.is_none() {
-                return Err(ExecError::ShapesNotInferred {
-                    value: g.values[node.output.0 as usize].name.clone(),
-                });
-            }
-            if g.value_numel(node.output) == 0 {
-                return Err(ExecError::ZeroSizedValue {
-                    value: g.values[node.output.0 as usize].name.clone(),
-                    shape: g.shape(node.output).to_vec(),
-                });
-            }
-            if matches!(node.op, Op::Input) && !g.inputs.contains(&node.output) {
-                return Err(ExecError::UnregisteredInput { node: node.name.clone() });
-            }
-        }
+        CompiledGraph::with_alias(g, AliasMode::Full, schedules)
+    }
+
+    /// The constructor behind both public ones, plus the alias mode that
+    /// `execute`'s `ExecOptions::alias` selects (the alias-free A/B plan).
+    pub(crate) fn with_alias(
+        g: Graph,
+        alias: AliasMode,
+        schedules: &[NodeSchedule],
+    ) -> Result<Self, ExecError> {
+        check_graph(&g)?;
         let lv = liveness(&g);
-        let plan = plan_allocation_with_schedules(&g, &lv, AliasMode::Full, schedules);
+        let plan = plan_allocation_with_schedules(&g, &lv, alias, schedules);
         let violations = plan.validate();
         if !violations.is_empty() {
             return Err(ExecError::InvalidPlan { violations });
@@ -198,22 +196,7 @@ impl Engine {
 
     fn run_impl(&mut self, inputs: &[Tensor], mut rec: Sink<'_>) -> Result<&[Tensor], ExecError> {
         let g = &self.shared.g;
-        if inputs.len() != g.inputs.len() {
-            return Err(ExecError::InputCountMismatch {
-                expected: g.inputs.len(),
-                got: inputs.len(),
-            });
-        }
-        for (i, (v, t)) in g.inputs.iter().zip(inputs).enumerate() {
-            if g.shape(*v) != t.shape() {
-                return Err(ExecError::InputShapeMismatch {
-                    index: i,
-                    name: g.values[v.0 as usize].name.clone(),
-                    expected: g.shape(*v).to_vec(),
-                    got: t.shape().to_vec(),
-                });
-            }
-        }
+        check_inputs(g, inputs)?;
 
         let plan = &self.shared.plan;
         let slab_ptr = self.slab.as_mut_ptr();
@@ -221,9 +204,9 @@ impl Engine {
         for i in 0..g.nodes.len() {
             let node_span = rec.now();
             // SAFETY: the slab outlives the loop and nothing else views it;
-            // the plan was validated in `new()`, and the shared dispatch
-            // honors its aliasing discipline (single `&mut` per in-place
-            // region, memmove for aliased concat copies).
+            // the plan was validated in `CompiledGraph::with_alias`, and the
+            // dispatch honors its aliasing discipline (single `&mut` per
+            // in-place region, memmove for aliased concat copies).
             unsafe { run_node_on_slab(g, plan, i, slab_ptr, inputs) };
             rec.emit(kind::NODE, i as u32, node_span);
         }
@@ -235,6 +218,276 @@ impl Engine {
         }
         rec.emit(kind::RUN, NO_NODE, run_span);
         Ok(&self.outputs)
+    }
+}
+
+/// Run one scheduled node's kernel on the slab, honoring the plan's
+/// alias-resolved execution mode:
+///
+/// * [`NodeExec::InPlace`] — the output reuses one dying operand's bytes.
+///   Exactly **one** `&mut` is carved over the shared region (never a
+///   `&` view of the aliased operand alongside it), and the kernel runs
+///   through its `_inplace` entry point.
+/// * [`NodeExec::Overlap`] — a monotone pool reads and writes the *same*
+///   buffer (the DMO mode); the buffer spans the input's extent and the
+///   output lands in its prefix.
+/// * [`NodeExec::ConcatAliased`] — embedded operands were produced in
+///   place inside the concat region and need no work at all; the rare
+///   non-embedded operand is copied with `ptr::copy` (memmove semantics —
+///   a nested embedding can legally place the source *inside* the output
+///   extent).
+/// * [`NodeExec::Standard`] — the classic disjoint-region dispatch through
+///   [`eval_into`].
+///
+/// # Safety
+/// `slab_ptr` must point at a live allocation of at least
+/// `plan.slab_bytes` bytes that nothing else aliases for the duration of
+/// the call, and `plan` must be a validated plan for `g` (its `validate()`
+/// returned no violations).
+unsafe fn run_node_on_slab(
+    g: &Graph,
+    plan: &AllocationPlan,
+    i: usize,
+    slab_ptr: *mut f32,
+    inputs: &[Tensor],
+) {
+    let node = &g.nodes[i];
+    let out_off =
+        plan.offset(node.output).expect("every node output is materialized — liveness bug") / F32;
+    let out_len = g.value_numel(node.output);
+
+    match &plan.node_exec[i] {
+        NodeExec::InPlace { operand } => {
+            // One mutable slice over the shared bytes; the aliased operand
+            // is never viewed separately.
+            let buf: &mut [f32] =
+                unsafe { std::slice::from_raw_parts_mut(slab_ptr.add(out_off), out_len) };
+            match &node.op {
+                Op::Activation(kind) => kind.forward_inplace(buf),
+                Op::Affine { scale, bias } => {
+                    let sh = g.shape(node.output);
+                    affine_inplace(
+                        buf,
+                        g.weight(*scale).data(),
+                        g.weight(*bias).data(),
+                        sh[2] * sh[3],
+                    )
+                }
+                // `buf` already holds the in-place operand; accumulate the
+                // rest on top.
+                Op::Add => add_n_assign_iter(
+                    node.inputs.iter().enumerate().filter(|&(k, _)| k != *operand).map(
+                        |(_, &v)| {
+                            let off = plan.offset(v).expect("operand not materialized") / F32;
+                            unsafe {
+                                std::slice::from_raw_parts(slab_ptr.add(off), g.value_numel(v))
+                            }
+                        },
+                    ),
+                    buf,
+                ),
+                // A flatten over its own bytes is the pure reinterpretation
+                // it always was mathematically: zero work, zero movement.
+                Op::Flatten => {}
+                // Rows are the *last* dimension — `shape[1]` here was the
+                // softmax-axis bug: correct for rank 2, silently wrong for
+                // the rank-3/4 values attention produces.
+                Op::Softmax => softmax_lastdim_inplace(
+                    buf,
+                    *g.shape(node.output).last().expect("softmax output has rank >= 2"),
+                ),
+                Op::LayerNorm { scale, bias, eps } => {
+                    layer_norm_inplace(buf, g.weight(*scale).data(), g.weight(*bias).data(), *eps)
+                }
+                other => unreachable!("op {other:?} has no in-place mode"),
+            }
+        }
+        NodeExec::Overlap => {
+            let v = node.inputs[0];
+            let in_off = plan.offset(v).expect("operand not materialized") / F32;
+            debug_assert_eq!(in_off, out_off, "overlap mode writes its input's prefix");
+            let sh = g.shape(v);
+            let buf: &mut [f32] =
+                unsafe { std::slice::from_raw_parts_mut(slab_ptr.add(in_off), g.value_numel(v)) };
+            match &node.op {
+                Op::Pool { kind: PoolKind::Max, kernel, stride } => {
+                    max_pool2d_inplace(buf, sh[0], sh[1], sh[2], sh[3], *kernel, *stride)
+                }
+                Op::Pool { kind: PoolKind::Avg, kernel, stride } => {
+                    avg_pool2d_inplace(buf, sh[0], sh[1], sh[2], sh[3], *kernel, *stride)
+                }
+                Op::GlobalAvgPool => global_avg_pool_inplace(buf, sh[0], sh[1], sh[2], sh[3]),
+                other => unreachable!("op {other:?} has no overlap mode"),
+            }
+        }
+        NodeExec::ConcatAliased { copy } => {
+            // Embedded operands already live at their slots; copy the rest.
+            // Aliased concats only exist at batch 1, so each operand's slot
+            // is one contiguous channel slice of the output.
+            let oshape = g.shape(node.output);
+            debug_assert_eq!(oshape[0], 1, "aliased concat implies batch 1");
+            let plane: usize = oshape[2..].iter().product();
+            let mut c_off = 0usize;
+            for (j, &v) in node.inputs.iter().enumerate() {
+                let c = g.shape(v)[1];
+                if copy[j] {
+                    let src = plan.offset(v).expect("operand not materialized") / F32;
+                    unsafe {
+                        std::ptr::copy(
+                            slab_ptr.add(src),
+                            slab_ptr.add(out_off + c_off * plane),
+                            c * plane,
+                        )
+                    };
+                }
+                c_off += c;
+            }
+        }
+        NodeExec::Standard => {
+            // The plan guarantees the output region is disjoint from every
+            // operand region (they are simultaneously live at step `i` in
+            // different alias classes, or in disjoint slices of one), so
+            // carving one `&mut` and several `&` views out of the slab is
+            // sound; `plan.validate()` checked it for this very plan.
+            let out: &mut [f32] =
+                unsafe { std::slice::from_raw_parts_mut(slab_ptr.add(out_off), out_len) };
+            match &node.op {
+                // Inputs are matched by their position in `Graph::inputs`,
+                // not by schedule order — rescheduling passes may move
+                // input nodes.
+                Op::Input => {
+                    let pos = g
+                        .inputs
+                        .iter()
+                        .position(|v| *v == node.output)
+                        .expect("checked by check_graph()");
+                    out.copy_from_slice(inputs[pos].data());
+                }
+                other => {
+                    let view = |v: ValueId| -> TensorView<'_> {
+                        let off =
+                            plan.offset(v).expect("operand not materialized — liveness bug") / F32;
+                        let len = g.value_numel(v);
+                        debug_assert!(
+                            out_off + out_len <= off || off + len <= out_off,
+                            "plan aliased node '{}' output with an operand",
+                            node.name
+                        );
+                        unsafe {
+                            TensorView::new(
+                                g.shape(v),
+                                std::slice::from_raw_parts(slab_ptr.add(off), len),
+                            )
+                        }
+                    };
+                    // The node's kernel scratch is the planner-reserved
+                    // arena past the value region — disjoint from every
+                    // value view by construction. The reservation was sized
+                    // for exactly the schedule this node dispatches with.
+                    debug_assert_eq!(
+                        plan.node_scratch[i],
+                        crate::scratch::node_scratch_bytes(g, node, plan.node_schedule[i]),
+                        "node '{}' scratch reservation disagrees with its schedule",
+                        node.name
+                    );
+                    let scratch_f = plan.node_scratch[i] / F32;
+                    let scratch: &mut [f32] = if scratch_f == 0 {
+                        &mut []
+                    } else {
+                        unsafe {
+                            std::slice::from_raw_parts_mut(
+                                slab_ptr.add(plan.scratch_offset / F32),
+                                scratch_f,
+                            )
+                        }
+                    };
+                    eval_into(g, other, &node.inputs, &view, out, scratch, plan.node_schedule[i]);
+                }
+            }
+        }
+    }
+}
+
+/// Dispatch one node's kernel through its `_into` entry point. Kernels that
+/// need working memory receive `scratch` — the planner-reserved arena —
+/// so the hot path performs no allocation at all (the `Vec`s that used to
+/// gather `Add`/`Concat` operands are gone too: those kernels take
+/// cloneable iterators over the slab views). `sched` is the plan's kernel
+/// schedule for this node; `scratch` must have been sized for it.
+fn eval_into<'a>(
+    g: &Graph,
+    op: &Op,
+    inputs: &[ValueId],
+    view: &dyn Fn(ValueId) -> TensorView<'a>,
+    out: &mut [f32],
+    scratch: &mut [f32],
+    sched: NodeSchedule,
+) {
+    let arg = |i: usize| view(inputs[i]);
+    match op {
+        Op::Input => unreachable!("handled by caller"),
+        Op::Conv2d(spec) => {
+            let p =
+                Conv2dParams { stride: spec.stride, padding: spec.padding, groups: spec.groups };
+            let bias = spec.bias.map(|b| g.weight(b).data());
+            conv2d_into(arg(0), g.weight(spec.weight), bias, &p, out, scratch, sched.gemm());
+        }
+        Op::ConvTranspose2d { weight, bias, stride } => {
+            let bias = bias.map(|b| g.weight(b).data());
+            conv_transpose2d_into(
+                arg(0),
+                g.weight(*weight),
+                bias,
+                *stride,
+                out,
+                scratch,
+                sched.gemm(),
+            );
+        }
+        Op::Activation(kind) => kind.forward_into(arg(0).data(), out),
+        Op::Pool { kind: PoolKind::Max, kernel, stride } => {
+            max_pool2d_into(arg(0), *kernel, *stride, out)
+        }
+        Op::Pool { kind: PoolKind::Avg, kernel, stride } => {
+            avg_pool2d_into(arg(0), *kernel, *stride, out)
+        }
+        Op::GlobalAvgPool => global_avg_pool_into(arg(0), out),
+        Op::Affine { scale, bias } => {
+            affine_into(arg(0), g.weight(*scale).data(), g.weight(*bias).data(), out)
+        }
+        // n-ary Add sums every operand directly into the output slot — the
+        // chained binary adds of the per-node path (and their hidden
+        // intermediates) do not exist here.
+        Op::Add => add_n_into_iter(inputs.iter().map(|&v| view(v).data()), out),
+        Op::Concat => concat_channels_into_iter(inputs.iter().map(|&v| view(v)), out),
+        Op::Linear { weight, bias } => {
+            let bias = bias.map(|b| g.weight(b).data());
+            linear_into(arg(0), g.weight(*weight), bias, out, scratch, sched.gemm());
+        }
+        // A flatten is a pure reinterpretation; in slab mode it degenerates
+        // to one copy between the operand's region and the output's.
+        Op::Flatten => out.copy_from_slice(arg(0).data()),
+        Op::Softmax => softmax_lastdim_into(arg(0), out),
+        Op::MatMul { transpose_a, transpose_b } => {
+            matmul_into(arg(0), arg(1), *transpose_a, *transpose_b, out, scratch, sched.gemm())
+        }
+        Op::LayerNorm { scale, bias, eps } => {
+            layer_norm_into(arg(0), g.weight(*scale).data(), g.weight(*bias).data(), *eps, out)
+        }
+        Op::SplitHeads { heads } => split_heads_into(arg(0), *heads, out),
+        Op::MergeHeads { heads } => merge_heads_into(arg(0), *heads, out),
+        Op::Fused(spec) => fused_forward_into(
+            arg(0),
+            g.weight(spec.lconv_w),
+            spec.lconv_b.map(|b| g.weight(b).data()),
+            spec.act,
+            spec.pool,
+            spec.fconv.as_ref().map(|fc| g.weight(fc.weight)),
+            spec.fconv.as_ref().and_then(|fc| fc.bias).map(|b| g.weight(b).data()),
+            out,
+            scratch,
+            sched.fused(),
+        ),
     }
 }
 
@@ -285,7 +538,6 @@ impl Sink<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::{execute, ExecOptions};
 
     fn small_cnn() -> Graph {
         let mut g = Graph::new();
@@ -302,19 +554,6 @@ mod tests {
     }
 
     #[test]
-    fn engine_matches_one_shot_executor() {
-        let g = small_cnn();
-        let x = Tensor::randn(&[2, 3, 8, 8], 3);
-        let want = execute(&g, std::slice::from_ref(&x), ExecOptions::default()).unwrap();
-        let mut engine = Engine::new(small_cnn()).unwrap();
-        let got = engine.run(std::slice::from_ref(&x)).unwrap();
-        assert_eq!(got.len(), 1);
-        assert!(got[0].all_close(&want.outputs[0], 1e-6));
-        assert_eq!(engine.slab_bytes(), want.slab_bytes);
-        assert!(engine.scratch_bytes() > 0);
-    }
-
-    #[test]
     fn engine_is_reusable_across_inputs() {
         let mut engine = Engine::new(small_cnn()).unwrap();
         let a = Tensor::randn(&[2, 3, 8, 8], 5);
@@ -324,33 +563,6 @@ mod tests {
         let out_a2 = engine.run(std::slice::from_ref(&a)).unwrap();
         assert!(out_a.all_close(&out_a2[0], 0.0));
         assert!(!out_a.all_close(&out_b, 1e-3));
-    }
-
-    #[test]
-    fn engine_rejects_bad_inputs_without_running() {
-        let mut engine = Engine::new(small_cnn()).unwrap();
-        let err = engine.run(&[]).unwrap_err();
-        assert_eq!(err, ExecError::InputCountMismatch { expected: 1, got: 0 });
-        let wrong = Tensor::zeros(&[1, 3, 8, 8]);
-        assert!(matches!(
-            engine.run(std::slice::from_ref(&wrong)).unwrap_err(),
-            ExecError::InputShapeMismatch { .. }
-        ));
-    }
-
-    #[test]
-    fn shape_mismatch_names_the_offending_input() {
-        let mut engine = Engine::new(small_cnn()).unwrap();
-        let wrong = Tensor::zeros(&[1, 3, 8, 8]);
-        match engine.run(std::slice::from_ref(&wrong)).unwrap_err() {
-            ExecError::InputShapeMismatch { index, name, expected, got } => {
-                assert_eq!(index, 0);
-                assert_eq!(name, "x");
-                assert_eq!(expected, vec![2, 3, 8, 8]);
-                assert_eq!(got, vec![1, 3, 8, 8]);
-            }
-            other => panic!("unexpected error {other:?}"),
-        }
     }
 
     #[test]

@@ -2,10 +2,11 @@
 //!
 //! Three pieces substitute for what the paper builds on PyTorch + CUDA:
 //!
-//! * [`executor`] — a reference interpreter with the alloc-on-def /
-//!   free-after-last-use policy deep-learning frameworks use for internal
-//!   tensors (Section 2.2 of the paper). It records a live-bytes timeline
-//!   while computing real values.
+//! * [`executor`] — [`execute`], the one-shot front door (its default slab
+//!   mode is one [`Engine::run`]), and the per-node reference interpreter
+//!   with the alloc-on-def / free-after-last-use policy deep-learning
+//!   frameworks use for internal tensors (Section 2.2 of the paper). The
+//!   reference records a live-bytes timeline while computing real values.
 //! * [`planner`] — a *static* memory planner that computes the same
 //!   timeline from shape inference + liveness alone, without executing a
 //!   single FLOP. This is what lets the peak-memory experiments (Figures 4
@@ -18,8 +19,8 @@
 //!   as an allocated tensor.
 //! * [`alloc`] — the static offset allocator: packs every internal tensor's
 //!   liveness interval into one contiguous slab (greedy best-fit) and
-//!   appends a shared kernel-scratch arena sized by [`scratch`], so the
-//!   executor's default mode performs exactly one allocation per inference.
+//!   appends a shared kernel-scratch arena sized by [`scratch`], so a slab
+//!   inference performs exactly one allocation.
 //! * [`alias`] — the virtual-tensor pass feeding the allocator: proves when
 //!   a concat operand may be produced directly inside the concat's region,
 //!   when an elementwise output may reuse its dying input's bytes, and when
@@ -54,7 +55,7 @@ pub use fused::{fused_forward, fused_forward_into, fused_scratch_breakdown, Scra
 pub use memory::{MemEvent, MemoryTracker};
 pub use planner::{plan_memory, skip_share_at_peak, MemoryPlan, StepMem};
 pub use profile::{
-    engine_report, engine_trace_json, node_high_water_bytes, node_scratch_breakdown, op_label,
+    engine_report, engine_trace_json, node_scratch_breakdown, node_slab_extent_bytes, op_label,
 };
 pub use schedule::{FusedSchedule, GemmSchedule, NodeSchedule};
 pub use scratch::node_scratch_bytes;

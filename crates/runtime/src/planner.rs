@@ -3,8 +3,11 @@
 //! The peak memory of an inference is a function of shapes and the schedule,
 //! not of the values flowing through it. Computing it statically lets the
 //! paper's memory experiments run at full ImageNet resolution without paying
-//! any convolution FLOPs — the executor's dynamic tracker is kept as a
-//! cross-check (they must agree exactly; see the integration tests).
+//! any convolution FLOPs. The per-node reference executor
+//! ([`crate::ExecMode::PerNode`]) is its one executed cross-check: its
+//! [`crate::MemoryTracker`] must reproduce this timeline step by step, which
+//! `tests/properties.rs` asserts on random graphs and `tests/pipeline.rs` on
+//! the model zoo.
 
 use temco_ir::{liveness, Graph};
 

@@ -1,4 +1,5 @@
-//! Elementwise ops, activations, concat/add, linear, softmax.
+//! Elementwise ops, activations, per-channel affine, concat/add, linear,
+//! softmax.
 
 use crate::matmul::{gemm, gemm_scratch_floats, with_tl_scratch};
 use crate::schedule::GemmSchedule;
@@ -55,6 +56,48 @@ impl ActKind {
     pub fn forward_inplace(self, buf: &mut [f32]) {
         for x in buf.iter_mut() {
             *x = self.apply(*x);
+        }
+    }
+}
+
+/// Per-channel affine map `y = x · scale[c] + bias[c]` over an NCHW tensor
+/// (an inference-mode batch norm), returning a new tensor.
+pub fn affine(input: &Tensor, scale: &[f32], bias: &[f32]) -> Tensor {
+    let mut out = Tensor::zeros(input.shape());
+    affine_into(input.view(), scale, bias, out.data_mut());
+    out
+}
+
+/// [`affine`] writing into a preallocated output buffer.
+///
+/// # Panics
+/// Panics unless the input is 4-D with `scale.len()` channels, `bias`
+/// matches `scale`, and `out` matches the input volume.
+pub fn affine_into(input: TensorView<'_>, scale: &[f32], bias: &[f32], out: &mut [f32]) {
+    assert_eq!(input.shape().len(), 4, "affine expects a 4-D NCHW tensor");
+    assert_eq!(input.dim(1), scale.len(), "affine channel/scale mismatch");
+    assert_eq!(out.len(), input.numel(), "affine output buffer length");
+    out.copy_from_slice(input.data());
+    affine_inplace(out, scale, bias, input.dim(2) * input.dim(3));
+}
+
+/// [`affine`] over an NCHW buffer in place, `plane` = H·W elements per
+/// channel — the alias-aware executor's entry point when the input dies at
+/// this node and the output reuses its bytes.
+///
+/// # Panics
+/// Panics unless `scale`/`bias` lengths agree and `buf` divides evenly into
+/// `plane`-sized channel planes, a whole number of batches of `scale.len()`.
+pub fn affine_inplace(buf: &mut [f32], scale: &[f32], bias: &[f32], plane: usize) {
+    assert_eq!(scale.len(), bias.len(), "affine scale/bias length mismatch");
+    let channel_block = scale.len() * plane;
+    assert!(
+        channel_block > 0 && buf.len().is_multiple_of(channel_block),
+        "affine buffer is not a whole number of [C, H·W] batches"
+    );
+    for (chan, (&s, &b)) in buf.chunks_mut(plane).zip(scale.iter().zip(bias).cycle()) {
+        for x in chan {
+            *x = *x * s + b;
         }
     }
 }
@@ -311,6 +354,23 @@ mod tests {
         assert!((ActKind::Sigmoid.apply(0.0) - 0.5).abs() < 1e-7);
         assert!(ActKind::Sigmoid.apply(20.0) > 0.999);
         assert!(ActKind::Sigmoid.apply(-20.0) < 0.001);
+    }
+
+    #[test]
+    fn affine_forms_agree_with_the_per_channel_definition() {
+        let x = Tensor::randn(&[2, 3, 2, 5], 7);
+        let (scale, bias) = ([2.0f32, -0.5, 3.0], [1.0f32, 0.25, -2.0]);
+        let want = Tensor::from_fn(&[2, 3, 2, 5], |i| {
+            let c = (i / 10) % 3;
+            x.data()[i] * scale[c] + bias[c]
+        });
+        let mut via_into = vec![0.0; x.numel()];
+        affine_into(x.view(), &scale, &bias, &mut via_into);
+        let mut via_inplace = x.data().to_vec();
+        affine_inplace(&mut via_inplace, &scale, &bias, 10);
+        assert_eq!(affine(&x, &scale, &bias).data(), want.data());
+        assert_eq!(via_into, want.data());
+        assert_eq!(via_inplace, want.data());
     }
 
     #[test]

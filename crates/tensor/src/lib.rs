@@ -38,9 +38,9 @@ pub use conv::{
     conv_transpose2d_into, conv_transpose2d_scratch_floats, Conv2dParams,
 };
 pub use elementwise::{
-    add, add_n_assign_iter, add_n_into, add_n_into_iter, concat_channels, concat_channels_into,
-    concat_channels_into_iter, linear, linear_into, linear_scratch_floats, softmax_lastdim,
-    softmax_lastdim_inplace, softmax_lastdim_into, ActKind,
+    add, add_n_assign_iter, add_n_into, add_n_into_iter, affine, affine_inplace, affine_into,
+    concat_channels, concat_channels_into, concat_channels_into_iter, linear, linear_into,
+    linear_scratch_floats, softmax_lastdim, softmax_lastdim_inplace, softmax_lastdim_into, ActKind,
 };
 pub use matmul::{gemm, gemm_scratch_floats, isa_level, sgemm, sgemm_reference, with_tl_scratch};
 pub use pool::{

@@ -6,7 +6,7 @@
 
 use temco::{compare_outputs, Compiler, OptLevel};
 use temco_models::{ModelConfig, ModelId};
-use temco_runtime::{execute, plan_memory, ExecOptions};
+use temco_runtime::{execute, plan_memory, ExecMode, ExecOptions};
 use temco_tensor::Tensor;
 
 fn mib(bytes: usize) -> f64 {
@@ -50,7 +50,10 @@ fn main() {
     let x = Tensor::randn(&[cfg.batch, 3, cfg.image, cfg.image], 1);
     let a = execute(&decomposed, std::slice::from_ref(&x), ExecOptions::default())
         .expect("execution failed");
-    let b = execute(&optimized, &[x], ExecOptions::default()).expect("execution failed");
+    // The optimized model runs on the per-node reference executor, which
+    // tracks every allocation and free as it goes.
+    let per_node = ExecOptions { mode: ExecMode::PerNode, ..Default::default() };
+    let b = execute(&optimized, &[x], per_node).expect("execution failed");
     let agreement = compare_outputs(&a.outputs[0], &b.outputs[0], 5);
     println!(
         "equivalence vs decomposed: max|Δ| = {:.2e}, task agreement = {:.4}",
@@ -58,7 +61,7 @@ fn main() {
     );
     assert!(agreement.task_agreement > 0.999);
 
-    // 5. The dynamic tracker agrees with the planner byte-for-byte.
-    assert_eq!(b.memory.peak_bytes(), p2.peak_internal_bytes);
-    println!("dynamic executor peak matches the static plan ✓");
+    // 5. The executed tracker agrees with the planner byte-for-byte.
+    assert_eq!(b.memory.expect("per-node runs track memory").peak_bytes(), p2.peak_internal_bytes);
+    println!("executed per-node peak matches the static plan ✓");
 }

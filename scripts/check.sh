@@ -21,8 +21,15 @@ cargo build --release
 echo "=== tier-1: cargo test -q ==="
 cargo test -q
 
+# The root manifest is itself a package, so `cargo test -q` above runs only
+# its integration tests; every crate's unit tests and `crates/*/tests`
+# suites (runtime, check, the serve zero-alloc suite, tensor proptests, …)
+# run here.
+echo "=== workspace tests: cargo test -q --workspace --exclude temco-repro ==="
+cargo test -q --workspace --exclude temco-repro
+
 # Deterministic short mode of the differential + fault-injection harness
-# (the tier-1 tests above already run its self-tests; this exercises the
+# (the workspace tests above run its self-tests; this exercises the
 # user-facing `temco check` entry point end to end). Scale up with e.g.
 # `cargo run --release --bin temco -- check --iters 500 --faults 100000`.
 echo "=== temco check (short mode) ==="

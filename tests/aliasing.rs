@@ -19,7 +19,7 @@ use temco_tensor::Tensor;
 const TOL: f32 = 1e-4;
 
 fn run(g: &Graph, input: &Tensor, mode: ExecMode, alias: AliasMode) -> Vec<Tensor> {
-    let opts = ExecOptions { time_nodes: false, mode, alias };
+    let opts = ExecOptions { mode, alias };
     execute(g, std::slice::from_ref(input), opts).expect("execution failed").outputs
 }
 

@@ -10,12 +10,12 @@
 //!    `Decomposed` baseline (the Figure 10 property);
 //! 3. optimized graphs are semantically equivalent to `Decomposed`
 //!    (the Figure 12 property);
-//! 4. the executor's dynamic memory tracker agrees with the static planner
-//!    byte-for-byte on compiled graphs (fused ops included).
+//! 4. the per-node reference executor's memory tracker agrees with the
+//!    static planner byte-for-byte on compiled graphs (fused ops included).
 
 use temco::{compare_outputs, Compiler, OptLevel};
 use temco_models::{ModelConfig, ModelId};
-use temco_runtime::{execute, plan_memory, ExecOptions};
+use temco_runtime::{execute, plan_memory, ExecMode, ExecOptions};
 use temco_tensor::Tensor;
 
 fn small_cfg() -> ModelConfig {
@@ -56,8 +56,10 @@ fn check_model(id: ModelId, exec: bool) {
     let x = Tensor::randn(&[cfg.batch, 3, cfg.image, cfg.image], 99);
     let base =
         execute(&dec, std::slice::from_ref(&x), ExecOptions::default()).expect("execution failed");
-    let out =
-        execute(&opt, std::slice::from_ref(&x), ExecOptions::default()).expect("execution failed");
+    // The optimized graph runs on the per-node reference, whose tracker is
+    // checked against the planner below; the baseline runs on the slab.
+    let per_node = ExecOptions { mode: ExecMode::PerNode, ..Default::default() };
+    let out = execute(&opt, std::slice::from_ref(&x), per_node).expect("execution failed");
     let agreement = compare_outputs(&base.outputs[0], &out.outputs[0], 5);
     assert!(agreement.task_agreement > 0.999, "{}: agreement {agreement:?}", id.name());
     let scale = base.outputs[0].fro_norm() / (base.outputs[0].numel() as f32).sqrt();
@@ -66,10 +68,10 @@ fn check_model(id: ModelId, exec: bool) {
         "{}: {agreement:?} (scale {scale})",
         id.name()
     );
-    // Dynamic tracker ≡ static planner on the optimized graph.
+    // Executed tracker ≡ static planner on the optimized graph.
     let plan = plan_memory(&opt);
     assert_eq!(
-        out.memory.peak_bytes(),
+        out.memory.expect("the per-node executor tracks memory").peak_bytes(),
         plan.peak_internal_bytes,
         "{}: dynamic vs static peak",
         id.name()

@@ -13,7 +13,7 @@
 use proptest::prelude::*;
 use temco::{Compiler, OptLevel};
 use temco_ir::{ActKind, Graph};
-use temco_runtime::{execute, plan_memory, ExecOptions};
+use temco_runtime::{execute, plan_memory, ExecMode, ExecOptions};
 use temco_tensor::Tensor;
 
 /// Plan for one randomly generated layer.
@@ -109,10 +109,12 @@ proptest! {
         let g = build_graph(&plans, seed);
         prop_assert!(temco_ir::verify(&g).is_empty());
         let x = Tensor::randn(&[1, 8, 16, 16], seed);
-        let res = execute(&g, &[x], ExecOptions::default()).expect("execution failed");
+        let opts = ExecOptions { mode: ExecMode::PerNode, ..Default::default() };
+        let res = execute(&g, &[x], opts).expect("execution failed");
+        let mem = res.memory.expect("the per-node executor tracks memory");
         let plan = plan_memory(&g);
-        prop_assert_eq!(res.memory.peak_bytes(), plan.peak_internal_bytes);
-        for (ev, st) in res.memory.timeline().iter().zip(&plan.timeline) {
+        prop_assert_eq!(mem.peak_bytes(), plan.peak_internal_bytes);
+        for (ev, st) in mem.timeline().iter().zip(&plan.timeline) {
             prop_assert_eq!(ev.live_bytes, st.live_bytes, "step {}", st.step);
         }
     }
