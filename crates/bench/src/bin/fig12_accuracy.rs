@@ -16,7 +16,7 @@ use std::io::Write as _;
 
 use temco::{compare_outputs, dice_score, Compiler, OptLevel};
 use temco_bench::{harness_config, paper_variants, results_dir};
-use temco_decomp::{relative_error, tucker2, tucker2_reconstruct, tucker_ranks};
+use temco_decomp::{relative_error, tucker2, tucker_ranks};
 use temco_models::ModelId;
 use temco_runtime::{execute, ExecOptions};
 use temco_tensor::Tensor;
@@ -88,8 +88,7 @@ fn main() {
     let w = Tensor::he_conv_weight(128, 128, 3, 3, 7);
     for ratio in [0.05, 0.1, 0.2, 0.4, 0.8] {
         let (ro, ri) = tucker_ranks(128, 128, ratio);
-        let t = tucker2(&w, ro, ri, 1);
-        let err = relative_error(&w, &tucker2_reconstruct(&t));
+        let err = relative_error(&w, &tucker2(&w, ro, ri, 1).reconstruct());
         println!("  ratio {ratio:>4}: ranks ({ro:>3},{ri:>3})  rel. error {err:.4}");
     }
 

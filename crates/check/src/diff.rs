@@ -184,7 +184,7 @@ pub fn check_graph(g: &Graph, seed: u64, cfg: &DiffConfig) -> Result<(), Failure
     // Tucker-2, CP, and TT factorization paths — the baseline uses the same
     // family, so the comparison stays method-internal.
     if cfg.opt_levels {
-        let method = [Method::Tucker, Method::Cp, Method::TensorTrain][(seed % 3) as usize];
+        let method = Method::ALL[(seed % Method::ALL.len() as u64) as usize];
         let compiler = Compiler::new(CompilerOptions {
             decompose: DecomposeOptions { ratio: cfg.ratio, method, ..Default::default() },
             merge_lconvs: true,

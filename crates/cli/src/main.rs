@@ -246,18 +246,8 @@ fn parse_args() -> Cli {
                     }
                 }
             }
-            "--method" => {
-                cli.method = match value(&mut i).as_str() {
-                    "tucker" => Method::Tucker,
-                    "cp" => Method::Cp,
-                    "tt" => Method::TensorTrain,
-                    other => {
-                        eprintln!("unknown method '{other}'");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--ratio" => cli.ratio = parse_value(flag, &value(&mut i)),
+            "--method" => cli.method = value(&mut i).parse().unwrap_or_else(|e| arg_error(e)),
+            "--ratio" => cli.ratio = parse_ratio(&value(&mut i)).unwrap_or_else(|e| arg_error(e)),
             "--budget" => cli.budget = parse_value(flag, &value(&mut i)),
             "--image" => cli.image = parse_value(flag, &value(&mut i)),
             "--batch" => cli.batch = parse_value(flag, &value(&mut i)),
@@ -302,7 +292,22 @@ fn parse_args() -> Cli {
 
 /// Parse a flag's value, naming the flag on failure.
 fn parse_value<T: std::str::FromStr>(flag: &str, raw: &str) -> T {
-    raw.parse().unwrap_or_else(|_| arg_error(format_args!("invalid value '{raw}' for '{flag}'")))
+    parse_flag(flag, raw, |_: &T| true).unwrap_or_else(|e| arg_error(e))
+}
+
+/// Parse a flag's value and accept it only if `valid`; the error names the
+/// flag.
+fn parse_flag<T: std::str::FromStr>(
+    flag: &str,
+    raw: &str,
+    valid: impl Fn(&T) -> bool,
+) -> Result<T, String> {
+    raw.parse().ok().filter(valid).ok_or_else(|| format!("invalid value '{raw}' for '{flag}'"))
+}
+
+/// A decomposition ratio: a number in (0, 1], the domain of the rank policy.
+fn parse_ratio(raw: &str) -> Result<f64, String> {
+    parse_flag("--ratio", raw, |r: &f64| *r > 0.0 && *r <= 1.0)
 }
 
 fn mib(bytes: usize) -> f64 {
@@ -1202,5 +1207,19 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         other => arg_error(format_args!("unknown command '{other}'")),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn ratio_outside_the_unit_interval_is_a_named_error() {
+        assert_eq!(parse_ratio("0.1"), Ok(0.1));
+        assert_eq!(parse_ratio("1"), Ok(1.0));
+        for raw in ["0", "-0.5", "2", "nan", "inf", "x"] {
+            assert_eq!(parse_ratio(raw), Err(format!("invalid value '{raw}' for '--ratio'")));
+        }
     }
 }

@@ -3,15 +3,19 @@
 //! This reproduces what existing tensor-decomposition work does to a model
 //! (Section 2.1 / Figure 2): each eligible convolution becomes
 //! `fconv (1×1, reducing) → core convolution(s) → lconv (1×1, restoring)`,
-//! with the original bias attached to the `lconv`. The pass records, per
+//! with the original bias attached to the `lconv`. Two steps per node: a
+//! pure factorize step ([`temco_decomp::factorize`], the only place a family
+//! is chosen) and one lowering loop that splices the returned
+//! [`FactorChain`] into the graph whatever the family. The pass records, per
 //! `lconv`, the FLOPs of the *original* (non-decomposed) convolution — the
 //! quantity the paper uses as `COMPUTE_THRESHOLD` in the skip-connection
 //! optimization's overhead check.
 
 use std::collections::HashMap;
 
-use temco_decomp::{cp_decompose, cp_rank, tt_decompose, tt_ranks, tucker2, tucker_ranks, Method};
+use temco_decomp::{factorize, FactorChain, Method, Spatial};
 use temco_ir::{ConvRole, ConvSpec, Graph, Node, Op, ValueId};
+use temco_tensor::Tensor;
 
 /// Decomposition pass options.
 #[derive(Clone, Debug)]
@@ -126,6 +130,13 @@ fn referenced_weight_bytes(g: &Graph) -> usize {
 
 /// Run the decomposition pass in place. Shapes must be inferred beforehand;
 /// they are re-inferred afterwards.
+///
+/// Each node is factorized (a pure function of its weight and `opts`), then
+/// its [`FactorChain`] is spliced into the graph by one lowering loop: the
+/// first factor becomes the `fconv`, the last the `lconv` (taking the bias
+/// and the original output value), every factor in between a `core`. An
+/// up-conv's spatial factor becomes a transposed convolution; a matrix
+/// chain becomes `Linear` nodes.
 pub fn decompose(g: &mut Graph, opts: &DecomposeOptions) -> DecomposeStats {
     let mut stats =
         DecomposeStats { weight_bytes_before: referenced_weight_bytes(g), ..Default::default() };
@@ -133,239 +144,82 @@ pub fn decompose(g: &mut Graph, opts: &DecomposeOptions) -> DecomposeStats {
     let mut new_nodes: Vec<Node> = Vec::with_capacity(old_nodes.len() * 2);
 
     for node in old_nodes {
-        if opts.compress_matrices {
-            if let Op::Linear { weight, bias } = &node.op {
-                let (weight, bias) = (*weight, *bias);
-                compress_linear(g, &mut new_nodes, &mut stats, node, weight, bias, opts);
-                continue;
+        let chain = match &node.op {
+            Op::Linear { weight, .. } if opts.compress_matrices => {
+                select_linear(g.weight(*weight), &node.name, opts, &mut stats)
             }
-        }
-        let eligible = match &node.op {
             Op::Conv2d(spec) if spec.role == ConvRole::Standard && spec.groups == 1 => {
                 let w = g.weight(spec.weight);
-                w.dim(0) >= opts.min_channels
-                    && w.dim(1) >= opts.min_channels
-                    && (!opts.only_if_smaller
-                        || decomposition_shrinks(opts, w.dim(0), w.dim(1), w.dim(2), w.dim(3)))
+                let iters = if opts.method == Method::Cp { opts.cp_iters } else { opts.hooi_iters };
+                eligible(opts, opts.method, [w.dim(0), w.dim(1), w.dim(2), w.dim(3)])
+                    .then(|| factorize(w, opts.method, opts.ratio, iters))
             }
+            // CP/TT requests fall back to Tucker on up-convs: the separable
+            // spatial split does not commute with the scatter semantics of
+            // transposed convolution. The weight is `[c_in, c_out, kh, kw]`.
             Op::ConvTranspose2d { weight, .. } => {
-                // weight is [c_in, c_out, kh, kw]
                 let w = g.weight(*weight);
-                let tucker = DecomposeOptions { method: Method::Tucker, ..opts.clone() };
-                w.dim(0) >= opts.min_channels
-                    && w.dim(1) >= opts.min_channels
-                    && (!opts.only_if_smaller
-                        || decomposition_shrinks(&tucker, w.dim(1), w.dim(0), w.dim(2), w.dim(3)))
+                eligible(opts, Method::Tucker, [w.dim(1), w.dim(0), w.dim(2), w.dim(3)])
+                    .then(|| factorize(&swap_io(w), Method::Tucker, opts.ratio, opts.hooi_iters))
             }
-            _ => false,
+            _ => None,
         };
-        if !eligible {
+        let Some(chain) = chain else {
             if matches!(node.op, Op::Conv2d(_)) {
                 stats.convs_skipped += 1;
             }
             new_nodes.push(node);
             continue;
-        }
-        if let Op::ConvTranspose2d { weight, bias, stride } = &node.op {
-            decompose_upconv(g, &mut new_nodes, &mut stats, &node, *weight, *bias, *stride, opts);
-            continue;
-        }
-        let Op::Conv2d(spec) = node.op else { unreachable!() };
-        let w = g.weight(spec.weight).clone();
-        let (c_out, c_in) = (w.dim(0), w.dim(1));
-        // FLOPs of the original conv (2 · out_numel · c_in · kh · kw).
-        let out_numel: u64 = g.values[node.output.0 as usize]
-            .shape
-            .as_ref()
-            .expect("run shape inference before decompose")
-            .iter()
-            .product::<usize>() as u64;
-        let orig_flops = 2 * out_numel * (c_in * w.dim(2) * w.dim(3)) as u64;
-
-        let x = node.inputs[0];
-        let base = node.name.clone();
-        let mk = |g: &mut Graph,
-                  nodes: &mut Vec<Node>,
-                  weight: temco_tensor::Tensor,
-                  bias: Option<temco_ir::WeightId>,
-                  stride: (usize, usize),
-                  padding: (usize, usize),
-                  groups: usize,
-                  role: ConvRole,
-                  input: ValueId,
-                  output: Option<ValueId>,
-                  suffix: &str| {
-            let weight = g.add_weight(weight);
-            let name = format!("{base}.{suffix}");
-            let output = output.unwrap_or_else(|| g.fresh_value(format!("{name}.out")));
-            nodes.push(Node {
-                op: Op::Conv2d(ConvSpec { weight, bias, stride, padding, groups, role }),
-                inputs: vec![input],
-                output,
-                name,
-            });
-            output
         };
-
-        match opts.method {
-            Method::Tucker => {
-                let (r_out, r_in) = tucker_ranks(c_out, c_in, opts.ratio);
-                let t = tucker2(&w, r_out, r_in, opts.hooi_iters);
-                let v1 = mk(
-                    g,
-                    &mut new_nodes,
-                    t.fconv,
-                    None,
-                    (1, 1),
-                    (0, 0),
-                    1,
-                    ConvRole::FConv,
-                    x,
-                    None,
-                    "fconv",
-                );
-                let v2 = mk(
-                    g,
-                    &mut new_nodes,
-                    t.core,
-                    None,
-                    spec.stride,
-                    spec.padding,
-                    1,
-                    ConvRole::Core,
-                    v1,
-                    None,
-                    "core",
-                );
-                mk(
-                    g,
-                    &mut new_nodes,
-                    t.lconv,
-                    spec.bias,
-                    (1, 1),
-                    (0, 0),
-                    1,
-                    ConvRole::LConv,
-                    v2,
-                    Some(node.output),
-                    "lconv",
-                );
+        match original_conv_flops(g, &node) {
+            Some(flops) => {
+                stats.original_conv_flops.insert(node.output, flops);
+                stats.convs_decomposed += 1;
             }
-            Method::Cp => {
-                let r = cp_rank(c_out, c_in, opts.ratio);
-                let cp = cp_decompose(&w, r, opts.cp_iters);
-                let v1 = mk(
-                    g,
-                    &mut new_nodes,
-                    cp.fconv,
-                    None,
-                    (1, 1),
-                    (0, 0),
-                    1,
-                    ConvRole::FConv,
-                    x,
-                    None,
-                    "fconv",
-                );
-                let v2 = mk(
-                    g,
-                    &mut new_nodes,
-                    cp.conv_h,
-                    None,
-                    (spec.stride.0, 1),
-                    (spec.padding.0, 0),
-                    r,
-                    ConvRole::Core,
-                    v1,
-                    None,
-                    "core_h",
-                );
-                let v3 = mk(
-                    g,
-                    &mut new_nodes,
-                    cp.conv_w,
-                    None,
-                    (1, spec.stride.1),
-                    (0, spec.padding.1),
-                    r,
-                    ConvRole::Core,
-                    v2,
-                    None,
-                    "core_w",
-                );
-                mk(
-                    g,
-                    &mut new_nodes,
-                    cp.lconv,
-                    spec.bias,
-                    (1, 1),
-                    (0, 0),
-                    1,
-                    ConvRole::LConv,
-                    v3,
-                    Some(node.output),
-                    "lconv",
-                );
-            }
-            Method::TensorTrain => {
-                let ranks = tt_ranks(c_out, c_in, opts.ratio);
-                let tt = tt_decompose(&w, ranks);
-                let v1 = mk(
-                    g,
-                    &mut new_nodes,
-                    tt.fconv,
-                    None,
-                    (1, 1),
-                    (0, 0),
-                    1,
-                    ConvRole::FConv,
-                    x,
-                    None,
-                    "fconv",
-                );
-                let v2 = mk(
-                    g,
-                    &mut new_nodes,
-                    tt.core_h,
-                    None,
-                    (spec.stride.0, 1),
-                    (spec.padding.0, 0),
-                    1,
-                    ConvRole::Core,
-                    v1,
-                    None,
-                    "core_h",
-                );
-                let v3 = mk(
-                    g,
-                    &mut new_nodes,
-                    tt.core_w,
-                    None,
-                    (1, spec.stride.1),
-                    (0, spec.padding.1),
-                    1,
-                    ConvRole::Core,
-                    v2,
-                    None,
-                    "core_w",
-                );
-                mk(
-                    g,
-                    &mut new_nodes,
-                    tt.lconv,
-                    spec.bias,
-                    (1, 1),
-                    (0, 0),
-                    1,
-                    ConvRole::LConv,
-                    v3,
-                    Some(node.output),
-                    "lconv",
-                );
-            }
+            None => stats.linears_compressed += 1,
         }
-        stats.original_conv_flops.insert(node.output, orig_flops);
-        stats.convs_decomposed += 1;
+
+        // What the factors inherit from the node they replace.
+        let (bias, stride, padding) = match &node.op {
+            Op::Conv2d(spec) => (spec.bias, spec.stride, spec.padding),
+            Op::ConvTranspose2d { bias, stride, .. } => (*bias, *stride, (0, 0)),
+            Op::Linear { bias, .. } => (*bias, (1, 1), (0, 0)),
+            _ => unreachable!("only convolutions and linears are factorized"),
+        };
+        let linear = matches!(node.op, Op::Linear { .. });
+        let upconv = matches!(node.op, Op::ConvTranspose2d { .. });
+        let last = chain.factors.len() - 1;
+        let mut cur = node.inputs[0];
+        for (i, f) in chain.factors.into_iter().enumerate() {
+            let (role, suffix) = match (i, f.spatial) {
+                (0, _) => (ConvRole::FConv, "fconv"),
+                (i, _) if i == last => (ConvRole::LConv, "lconv"),
+                (_, Spatial::H) => (ConvRole::Core, "core_h"),
+                (_, Spatial::W) => (ConvRole::Core, "core_w"),
+                _ => (ConvRole::Core, "core"),
+            };
+            let name = if linear {
+                format!("{}.f{i}", node.name)
+            } else {
+                format!("{}.{suffix}", node.name)
+            };
+            let bias = if i == last { bias } else { None };
+            let op = if linear {
+                let shape = [f.weight.dim(0), f.weight.dim(1)];
+                let weight = g.add_weight(Tensor::from_vec(&shape, f.weight.into_vec()));
+                Op::Linear { weight, bias }
+            } else if upconv && f.spatial != Spatial::None {
+                Op::ConvTranspose2d { weight: g.add_weight(swap_io(&f.weight)), bias, stride }
+            } else {
+                let p = f.conv_params(stride, padding);
+                let weight = g.add_weight(f.weight);
+                let (stride, padding, groups) = (p.stride, p.padding, p.groups);
+                Op::Conv2d(ConvSpec { weight, bias, stride, padding, groups, role })
+            };
+            let output = if i == last { node.output } else { g.fresh_value(format!("{name}.out")) };
+            new_nodes.push(Node { op, inputs: vec![cur], output, name });
+            cur = output;
+        }
     }
 
     g.nodes = new_nodes;
@@ -374,123 +228,76 @@ pub fn decompose(g: &mut Graph, opts: &DecomposeOptions) -> DecomposeStats {
     stats
 }
 
-/// Decompose a transposed convolution (UNet up-conv) into
-/// `fconv (1×1) → small transposed conv → lconv (1×1)` via Tucker-2 on the
-/// `[c_out, c_in, kh, kw]`-permuted kernel. CP/TT requests fall back to
-/// Tucker here: the separable spatial split does not commute with the
-/// scatter semantics of transposed convolution.
-#[allow(clippy::too_many_arguments)]
-fn decompose_upconv(
-    g: &mut Graph,
-    new_nodes: &mut Vec<Node>,
-    stats: &mut DecomposeStats,
-    node: &Node,
-    weight: temco_ir::WeightId,
-    bias: Option<temco_ir::WeightId>,
-    stride: (usize, usize),
-    opts: &DecomposeOptions,
-) {
-    let w = g.weight(weight).clone(); // [c_in, c_out, kh, kw]
-    let (c_in, c_out, kh, kw) = (w.dim(0), w.dim(1), w.dim(2), w.dim(3));
-    let mut perm = temco_tensor::Tensor::zeros(&[c_out, c_in, kh, kw]);
-    for ci in 0..c_in {
-        for co in 0..c_out {
-            for a in 0..kh {
-                for b in 0..kw {
-                    *perm.at4_mut(co, ci, a, b) = w.at4(ci, co, a, b);
-                }
-            }
-        }
-    }
-    let (r_out, r_in) = tucker_ranks(c_out, c_in, opts.ratio);
-    let t = tucker2(&perm, r_out, r_in, opts.hooi_iters);
-    // Core back to transposed layout: [r_in, r_out, kh, kw].
-    let mut core_t = temco_tensor::Tensor::zeros(&[r_in, r_out, kh, kw]);
-    for ro in 0..r_out {
-        for ri in 0..r_in {
-            for a in 0..kh {
-                for b in 0..kw {
-                    *core_t.at4_mut(ri, ro, a, b) = t.core.at4(ro, ri, a, b);
-                }
-            }
-        }
-    }
-    let in_shape = g.values[node.inputs[0].0 as usize]
-        .shape
-        .as_ref()
-        .expect("run shape inference before decompose");
-    let in_numel: u64 = in_shape.iter().product::<usize>() as u64;
-    stats.original_conv_flops.insert(node.output, 2 * in_numel * (c_out * kh * kw) as u64);
-
-    let base = node.name.clone();
-    let fconv_w = g.add_weight(t.fconv);
-    let v1 = g.fresh_value(format!("{base}.fconv.out"));
-    new_nodes.push(Node {
-        op: Op::Conv2d(ConvSpec {
-            weight: fconv_w,
-            bias: None,
-            stride: (1, 1),
-            padding: (0, 0),
-            groups: 1,
-            role: ConvRole::FConv,
-        }),
-        inputs: vec![node.inputs[0]],
-        output: v1,
-        name: format!("{base}.fconv"),
-    });
-    let core_w = g.add_weight(core_t);
-    let v2 = g.fresh_value(format!("{base}.core.out"));
-    new_nodes.push(Node {
-        op: Op::ConvTranspose2d { weight: core_w, bias: None, stride },
-        inputs: vec![v1],
-        output: v2,
-        name: format!("{base}.core"),
-    });
-    let lconv_w = g.add_weight(t.lconv);
-    new_nodes.push(Node {
-        op: Op::Conv2d(ConvSpec {
-            weight: lconv_w,
-            bias,
-            stride: (1, 1),
-            padding: (0, 0),
-            groups: 1,
-            role: ConvRole::LConv,
-        }),
-        inputs: vec![v2],
-        output: node.output,
-        name: format!("{base}.lconv"),
-    });
-    stats.convs_decomposed += 1;
+/// Should a `[c_out, c_in, kh, kw]` kernel be factorized with `method`? Its
+/// channels must reach `min_channels`, and under `only_if_smaller` the
+/// planned chain must have fewer parameters than the kernel: tiny heads
+/// (e.g. UNet's 1-channel 1×1 output conv) would *grow*, so they stay.
+fn eligible(opts: &DecomposeOptions, method: Method, shape: [usize; 4]) -> bool {
+    shape[0] >= opts.min_channels
+        && shape[1] >= opts.min_channels
+        && (!opts.only_if_smaller
+            || FactorChain::planned_param_count(method, shape, opts.ratio)
+                < shape.iter().product::<usize>())
 }
 
-/// Run the per-layer matrix selector on one `Linear` and emit either the
-/// winning factor chain (a sequence of bias-free `Linear` nodes with the
-/// original bias on the last) or the untouched node. The selector measures
+/// FLOPs of the original convolution (bias excluded): `2 · out_numel ·
+/// c_in·kh·kw` for a conv, `2 · in_numel · c_out·kh·kw` for an up-conv;
+/// `None` for a `Linear`.
+fn original_conv_flops(g: &Graph, node: &Node) -> Option<u64> {
+    let (weight, pixels_of) = match &node.op {
+        Op::Conv2d(spec) => (spec.weight, node.output),
+        Op::ConvTranspose2d { weight, .. } => (*weight, node.inputs[0]),
+        _ => return None,
+    };
+    let w = g.weight(weight);
+    let numel: usize = g.values[pixels_of.0 as usize]
+        .shape
+        .as_ref()
+        .expect("run shape inference before decompose")
+        .iter()
+        .product();
+    Some(2 * numel as u64 * (w.dim(1) * w.dim(2) * w.dim(3)) as u64)
+}
+
+/// Swap the first two axes of a 4-D weight: `[a, b, kh, kw] → [b, a, kh, kw]`
+/// (a transposed convolution's `[c_in, c_out, ..]` ⇄ a conv's `[c_out, c_in, ..]`).
+fn swap_io(w: &Tensor) -> Tensor {
+    let (a, b, kh, kw) = (w.dim(0), w.dim(1), w.dim(2), w.dim(3));
+    let mut out = Tensor::zeros(&[b, a, kh, kw]);
+    for i in 0..a {
+        for j in 0..b {
+            for h in 0..kh {
+                for x in 0..kw {
+                    *out.at4_mut(j, i, h, x) = w.at4(i, j, h, x);
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Run the per-layer matrix selector on one `Linear` weight: `Some(chain)`
+/// to replace the layer, `None` to keep it dense. The selector measures
 /// Tucker/CP/TT at the ratio-derived ranks and keeps the layer dense when
 /// no chain both shrinks it and fits the error budget.
-fn compress_linear(
-    g: &mut Graph,
-    new_nodes: &mut Vec<Node>,
-    stats: &mut DecomposeStats,
-    node: Node,
-    weight: temco_ir::WeightId,
-    bias: Option<temco_ir::WeightId>,
+fn select_linear(
+    w: &Tensor,
+    layer: &str,
     opts: &DecomposeOptions,
-) {
-    let w = g.weight(weight).clone();
+    stats: &mut DecomposeStats,
+) -> Option<FactorChain> {
     let (f_out, f_in) = (w.dim(0), w.dim(1));
     if f_out.max(f_in) > MAX_MATRIX_DIM || f_out.min(f_in) < 8 {
         stats.linears_kept_dense += 1;
-        new_nodes.push(node);
-        return;
+        return None;
     }
     // Tucker on a matrix is a two-sided truncated SVD, for which HOOI
     // converges in a round or two; CP's ALS shares the same small budget
     // and simply loses the selection when it has not converged.
     let iters = opts.hooi_iters.max(2);
-    let choice = temco_decomp::select_matrix(&w, opts.ratio, opts.matrix_error_budget, iters);
+    let choice = temco_decomp::select_matrix(w, opts.ratio, opts.matrix_error_budget, iters);
     stats.matrix_choices.push(MatrixLayerChoice {
-        layer: node.name.clone(),
+        layer: layer.to_string(),
         method: choice.method.map_or("dense", |m| m.name()),
         params_before: choice.params_before,
         params_after: choice.params_after,
@@ -498,60 +305,10 @@ fn compress_linear(
         flops_after: choice.flops_after,
         rel_error: choice.rel_error,
     });
-    let Some(chain) = choice.chain else {
+    if choice.chain.is_none() {
         stats.linears_kept_dense += 1;
-        new_nodes.push(node);
-        return;
-    };
-    let base = node.name.clone();
-    let mut cur = node.inputs[0];
-    let last = chain.factors.len() - 1;
-    for (i, f) in chain.factors.into_iter().enumerate() {
-        let wid = g.add_weight(f);
-        let name = format!("{base}.f{i}");
-        let (b, out) = if i == last {
-            (bias, node.output)
-        } else {
-            let out = g.fresh_value(format!("{name}.out"));
-            (None, out)
-        };
-        new_nodes.push(Node {
-            op: Op::Linear { weight: wid, bias: b },
-            inputs: vec![cur],
-            output: out,
-            name,
-        });
-        cur = out;
     }
-    stats.linears_compressed += 1;
-}
-
-/// Would decomposing a `[c_out, c_in, kh, kw]` kernel at these options
-/// actually shrink its parameters? Tiny heads (e.g. UNet's 1-channel 1×1
-/// output conv) would *grow*, so they are left intact.
-fn decomposition_shrinks(
-    opts: &DecomposeOptions,
-    c_out: usize,
-    c_in: usize,
-    kh: usize,
-    kw: usize,
-) -> bool {
-    let orig = c_out * c_in * kh * kw;
-    let dec = match opts.method {
-        Method::Tucker => {
-            let (r_out, r_in) = tucker_ranks(c_out, c_in, opts.ratio);
-            c_in * r_in + r_in * r_out * kh * kw + r_out * c_out
-        }
-        Method::Cp => {
-            let r = cp_rank(c_out, c_in, opts.ratio);
-            r * (c_in + kh + kw + c_out)
-        }
-        Method::TensorTrain => {
-            let (r1, r2, r3) = tt_ranks(c_out, c_in, opts.ratio);
-            r1 * c_in + r1 * r2 * kh + r2 * r3 * kw + r3 * c_out
-        }
-    };
-    dec < orig
+    choice.chain
 }
 
 /// The paper's structural `IsLConv` test (Algorithm 2, lines 1–7): a 1×1,
@@ -581,8 +338,8 @@ pub fn is_fconv(g: &Graph, node_idx: usize) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use temco_runtime::{execute, ExecOptions};
-    use temco_tensor::Tensor;
 
     fn chain_graph() -> Graph {
         let mut g = Graph::new();
@@ -907,6 +664,125 @@ mod tests {
         assert_eq!(stats.original_conv_flops.len(), 2);
         for &f in stats.original_conv_flops.values() {
             assert!(f > 0);
+        }
+    }
+
+    /// Run a decomposed graph and its reference on `x`: (decomposed output,
+    /// reference output).
+    fn outputs(g: &Graph, reference: &Graph, x: &Tensor) -> (Tensor, Tensor) {
+        let run = |g: &Graph| {
+            let r = execute(g, std::slice::from_ref(x), ExecOptions::default());
+            r.expect("execution failed").outputs.remove(0)
+        };
+        (run(g), run(reference))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 6, .. ProptestConfig::default() })]
+
+        /// The one lowering is exact with respect to the factorization: a
+        /// decomposed conv computes the original conv with its kernel
+        /// replaced by the chain's reconstruction, for every family, stride,
+        /// kernel shape and padding — and a Tucker up-conv likewise.
+        #[test]
+        fn lowering_is_exact_with_respect_to_the_factorization(
+            c_out in 2usize..10,
+            c_in in 2usize..10,
+            h in 6usize..10,
+            w in 6usize..10,
+            seed in 0u64..1000,
+        ) {
+            let x = Tensor::randn(&[1, c_in, h, w], seed ^ 0x5EED);
+            let bias = Tensor::randn(&[c_out], seed ^ 0xB1A5);
+            for method in Method::ALL {
+                let opts = DecomposeOptions {
+                    method,
+                    ratio: 0.5,
+                    only_if_smaller: false,
+                    cp_iters: 8,
+                    ..Default::default()
+                };
+                let iters = if method == Method::Cp { opts.cp_iters } else { opts.hooi_iters };
+                for (kh, kw) in [(1, 1), (3, 3), (3, 5)] {
+                    let kernel = Tensor::randn(&[c_out, c_in, kh, kw], seed + kh as u64 + kw as u64);
+                    let rec = factorize(&kernel, method, opts.ratio, iters).reconstruct();
+                    for stride in [1, 2] {
+                        for pad in [0, 1] {
+                            let conv = |weight: Tensor| {
+                                let mut g = Graph::new();
+                                let v = g.input(&[1, c_in, h, w], "x");
+                                let y = g.conv2d(v, weight, Some(bias.clone()), stride, pad, "conv");
+                                g.mark_output(y);
+                                g.infer_shapes();
+                                g
+                            };
+                            let mut g = conv(kernel.clone());
+                            let stats = decompose(&mut g, &opts);
+                            prop_assert_eq!(stats.convs_decomposed, 1);
+                            let names: Vec<&str> = g.nodes[1..].iter().map(|n| n.name.as_str()).collect();
+                            let expected: &[&str] = if method == Method::Tucker {
+                                &["conv.fconv", "conv.core", "conv.lconv"]
+                            } else {
+                                &["conv.fconv", "conv.core_h", "conv.core_w", "conv.lconv"]
+                            };
+                            prop_assert_eq!(names, expected);
+                            let (a, b) = outputs(&g, &conv(rec.clone()), &x);
+                            let scale = b.data().iter().fold(1.0f32, |m, v| m.max(v.abs()));
+                            let diff = a.max_abs_diff(&b);
+                            prop_assert!(diff <= 1e-4 * scale, "{} k{kh}x{kw} s{stride} p{pad}: diff {diff}", method.name());
+                        }
+                    }
+                }
+            }
+
+            // Up-conv: Tucker on the `[c_out, c_in, kh, kw]` view, the core
+            // lowered as a transposed convolution.
+            let kernel = Tensor::randn(&[c_in, c_out, 2, 2], seed ^ 0x0C0);
+            let opts = DecomposeOptions { ratio: 0.5, only_if_smaller: false, ..Default::default() };
+            let rec = swap_io(&factorize(&swap_io(&kernel), Method::Tucker, 0.5, 1).reconstruct());
+            let up = |weight: Tensor| {
+                let mut g = Graph::new();
+                let v = g.input(&[1, c_in, h, w], "x");
+                let y = g.conv_transpose2d(v, weight, Some(bias.clone()), 2, "up");
+                g.mark_output(y);
+                g.infer_shapes();
+                g
+            };
+            let mut g = up(kernel);
+            decompose(&mut g, &opts);
+            prop_assert!(matches!(g.nodes[2].op, Op::ConvTranspose2d { .. }));
+            let (a, b) = outputs(&g, &up(rec), &x);
+            let scale = b.data().iter().fold(1.0f32, |m, v| m.max(v.abs()));
+            prop_assert!(a.max_abs_diff(&b) <= 1e-4 * scale, "up-conv diff {}", a.max_abs_diff(&b));
+        }
+    }
+
+    #[test]
+    fn planned_param_counts_match_the_hand_worked_table() {
+        // Ratio 0.1, worked by hand from each family's factor shapes:
+        // [64,64,3,3] → Tucker (6,6): 64·6 + 6·6·9 + 6·64; CP 6: 6·(64+3+3+64);
+        //   TT (6,6,6): 6·64 + 6·6·3 + 6·6·3 + 6·64.
+        // [32,16,1,1] → Tucker (3,2): 16·2 + 2·3 + 3·32; CP 3: 3·(16+1+1+32);
+        //   TT (2,3,3): 2·16 + 2·3 + 3·3 + 3·32.
+        // [1,64,1,1] → Tucker (1,6): 64·6 + 6·1 + 1·1; CP 6: 6·(64+1+1+1);
+        //   TT (6,6,1) unclamped: 6·64 + 6·6 + 6·1 + 1·1 — all above 64.
+        let table: [([usize; 4], [usize; 3], bool); 3] = [
+            ([64, 64, 3, 3], [1092, 804, 984], true),
+            ([32, 16, 1, 1], [134, 150, 143], true),
+            ([1, 64, 1, 1], [391, 402, 427], false),
+        ];
+        let opts = DecomposeOptions::default();
+        for (shape, params, shrinks) in table {
+            for (method, want) in Method::ALL.into_iter().zip(params) {
+                let got = FactorChain::planned_param_count(method, shape, 0.1);
+                assert_eq!(got, want, "{} on {shape:?}", method.name());
+                assert_eq!(
+                    eligible(&opts, method, shape),
+                    shrinks,
+                    "{} on {shape:?}",
+                    method.name()
+                );
+            }
         }
     }
 }

@@ -144,15 +144,40 @@ impl Compiler {
     ///
     /// # Panics
     /// Panics if the input graph fails verification.
-    #[allow(clippy::field_reassign_with_default)] // stats fill in pass order
     pub fn compile(&self, graph: &Graph, level: OptLevel) -> (Graph, CompileStats) {
+        let (g, decomposed) = self.decompose_graph(graph);
+        self.optimize(g, decomposed, level)
+    }
+
+    /// Compile `graph` at each of `levels`, in order. Equivalent to one
+    /// [`Compiler::compile`] per level, but the decomposition — the
+    /// expensive, level-independent step — runs once and is shared.
+    ///
+    /// # Panics
+    /// Panics if the input graph fails verification.
+    pub fn compile_levels(&self, graph: &Graph, levels: &[OptLevel]) -> Vec<(Graph, CompileStats)> {
+        let (g, decomposed) = self.decompose_graph(graph);
+        levels.iter().map(|&level| self.optimize(g.clone(), decomposed.clone(), level)).collect()
+    }
+
+    /// The level-independent front half: verify, infer shapes, decompose.
+    fn decompose_graph(&self, graph: &Graph) -> (Graph, DecomposeStats) {
         let errs = temco_ir::verify(graph);
         assert!(errs.is_empty(), "input graph is malformed: {errs:?}");
         let mut g = graph.clone();
         g.infer_shapes();
-        let mut stats = CompileStats::default();
+        let stats = decompose(&mut g, &self.opts.decompose);
+        (g, stats)
+    }
 
-        stats.decompose = decompose(&mut g, &self.opts.decompose);
+    /// The back half: the rewrites `level` enables on a decomposed graph.
+    fn optimize(
+        &self,
+        mut g: Graph,
+        decomposed: DecomposeStats,
+        level: OptLevel,
+    ) -> (Graph, CompileStats) {
+        let mut stats = CompileStats { decompose: decomposed, ..Default::default() };
 
         if matches!(level, OptLevel::SkipOpt | OptLevel::SkipOptFusion) {
             stats.skip_opt =
@@ -182,5 +207,39 @@ impl Compiler {
         let errs = temco_ir::verify(&g);
         assert!(errs.is_empty(), "compiler produced a malformed graph: {errs:?}");
         (g, stats)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use temco_models::{ModelConfig, ModelId};
+
+    fn bytes(g: &Graph) -> Vec<u8> {
+        let mut buf = Vec::new();
+        temco_ir::save_graph(g, &mut buf).expect("save");
+        buf
+    }
+
+    #[test]
+    fn compile_levels_matches_one_compile_per_level() {
+        let cfg =
+            ModelConfig { batch: 1, image: 32, num_classes: 10, classifier_width: 16, seed: 7 };
+        let g = ModelId::UnetSmall.build(&cfg);
+        let compiler = Compiler::default();
+        let levels =
+            [OptLevel::Decomposed, OptLevel::Fusion, OptLevel::SkipOpt, OptLevel::SkipOptFusion];
+        let shared = compiler.compile_levels(&g, &levels);
+        assert_eq!(shared.len(), levels.len());
+        for (level, (got, stats)) in levels.into_iter().zip(&shared) {
+            let (want, want_stats) = compiler.compile(&g, level);
+            assert_eq!(bytes(got), bytes(&want), "{}", level.label());
+            let d = (&stats.decompose, &want_stats.decompose);
+            assert_eq!(d.0.original_conv_flops, d.1.original_conv_flops, "{}", level.label());
+            assert_eq!(d.0.convs_decomposed, d.1.convs_decomposed, "{}", level.label());
+            let rewrites =
+                |s: &CompileStats| format!("{:?}", (&s.skip_opt, &s.transform, &s.fusion));
+            assert_eq!(rewrites(stats), rewrites(&want_stats), "{}", level.label());
+        }
     }
 }

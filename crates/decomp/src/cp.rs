@@ -4,66 +4,17 @@ use temco_linalg::{solve_ridge, Mat};
 use temco_tensor::Tensor;
 
 use crate::unfold::Tensor4;
-
-/// A rank-R CP factorization of a conv weight laid out as the four
-/// convolution weights of the decomposed sequence: two pointwise factor
-/// convolutions around a separable depthwise pair.
-#[derive(Clone, Debug)]
-pub struct CpConv {
-    /// Reducing 1×1 convolution `[r, c_in, 1, 1]`.
-    pub fconv: Tensor,
-    /// Depthwise vertical convolution `[r, 1, kh, 1]` (groups = r).
-    pub conv_h: Tensor,
-    /// Depthwise horizontal convolution `[r, 1, 1, kw]` (groups = r).
-    pub conv_w: Tensor,
-    /// Restoring 1×1 convolution `[c_out, r, 1, 1]`.
-    pub lconv: Tensor,
-}
-
-impl CpConv {
-    /// CP rank.
-    pub fn rank(&self) -> usize {
-        self.fconv.dim(0)
-    }
-
-    /// Total parameter count of the four factors.
-    pub fn param_count(&self) -> usize {
-        self.fconv.numel() + self.conv_h.numel() + self.conv_w.numel() + self.lconv.numel()
-    }
-
-    /// Reconstruct the full kernel
-    /// `Ŵ[o,i,h,w] = Σ_r A[o,r] B[i,r] C[h,r] D[w,r]`.
-    pub fn reconstruct(&self) -> Tensor {
-        let r = self.rank();
-        let (c_out, c_in) = (self.lconv.dim(0), self.fconv.dim(1));
-        let (kh, kw) = (self.conv_h.dim(2), self.conv_w.dim(3));
-        let mut out = Tensor::zeros(&[c_out, c_in, kh, kw]);
-        for o in 0..c_out {
-            for i in 0..c_in {
-                for h in 0..kh {
-                    for w in 0..kw {
-                        let mut s = 0.0f32;
-                        for rr in 0..r {
-                            s += self.lconv.at4(o, rr, 0, 0)
-                                * self.fconv.at4(rr, i, 0, 0)
-                                * self.conv_h.at4(rr, 0, h, 0)
-                                * self.conv_w.at4(rr, 0, 0, w);
-                        }
-                        *out.at4_mut(o, i, h, w) = s;
-                    }
-                }
-            }
-        }
-        out
-    }
-}
+use crate::{Factor, FactorChain, Spatial};
 
 /// Rank-`rank` CP decomposition of `weight [c_out, c_in, kh, kw]` by
 /// alternating least squares with `iters` full rounds.
 ///
 /// Factor columns are normalized each round with the scale absorbed into the
-/// output-channel factor, the standard ALS conditioning trick.
-pub fn cp_decompose(weight: &Tensor, rank: usize, iters: usize) -> CpConv {
+/// output-channel factor, the standard ALS conditioning trick. The chain is
+/// the separable sequence `fconv [r, c_in, 1, 1] → depthwise [r, 1, kh, 1]
+/// → depthwise [r, 1, 1, kw] → lconv [c_out, r, 1, 1]`, whose kernel is
+/// `Ŵ[o,i,h,w] = Σ_r A[o,r] B[i,r] C[h,r] D[w,r]`.
+pub fn cp_decompose(weight: &Tensor, rank: usize, iters: usize) -> FactorChain {
     assert_eq!(weight.shape().len(), 4, "cp expects a 4-D conv weight");
     assert!(rank >= 1, "rank must be positive");
     let w = Tensor4::from_tensor(weight);
@@ -123,7 +74,30 @@ pub fn cp_decompose(weight: &Tensor, rank: usize, iters: usize) -> CpConv {
     }
     // lconv = A as [c_out, r, 1, 1]
     let lconv = Tensor::from_vec(&[dims[0], rank, 1, 1], to_f32(a));
-    CpConv { fconv, conv_h, conv_w, lconv }
+    FactorChain {
+        factors: vec![
+            Factor::pointwise(fconv),
+            Factor { weight: conv_h, groups: rank, spatial: Spatial::H },
+            Factor { weight: conv_w, groups: rank, spatial: Spatial::W },
+            Factor::pointwise(lconv),
+        ],
+    }
+}
+
+/// Fold the two depthwise factors of a CP chain over a `[f_out, f_in, 1, 1]`
+/// kernel — per-rank scales there — into the restoring factor's columns as
+/// their product, leaving `fconv → lconv`.
+pub(crate) fn fold_scales(chain: FactorChain) -> FactorChain {
+    let [fconv, h, w, mut lconv]: [Factor; 4] =
+        chain.factors.try_into().expect("a CP chain has four factors");
+    let (hs, ws) = (h.weight.data(), w.weight.data());
+    assert!(hs.len() == h.weight.dim(0) && ws.len() == hs.len(), "scales must be 1×1");
+    for row in lconv.weight.data_mut().chunks_mut(hs.len()) {
+        for (x, (a, b)) in row.iter_mut().zip(hs.iter().zip(ws)) {
+            *x *= a * b;
+        }
+    }
+    FactorChain { factors: vec![fconv, lconv] }
 }
 
 /// Matricized tensor times Khatri–Rao product, computed by direct iteration
@@ -183,7 +157,6 @@ fn normalize_into_mode0(factors: &mut [Mat], mode: usize, rank: usize) {
 mod tests {
     use super::*;
     use crate::relative_error;
-    use temco_tensor::{conv2d, Conv2dParams};
 
     fn rank_k_kernel(c_out: usize, c_in: usize, kh: usize, kw: usize, k: usize) -> Tensor {
         let a = Tensor::rand_uniform(&[c_out, k], 1, -1.0, 1.0);
@@ -214,10 +187,12 @@ mod tests {
     fn shapes_follow_separable_layout() {
         let w = Tensor::randn(&[8, 6, 3, 5], 1);
         let cp = cp_decompose(&w, 4, 3);
-        assert_eq!(cp.fconv.shape(), &[4, 6, 1, 1]);
-        assert_eq!(cp.conv_h.shape(), &[4, 1, 3, 1]);
-        assert_eq!(cp.conv_w.shape(), &[4, 1, 1, 5]);
-        assert_eq!(cp.lconv.shape(), &[8, 4, 1, 1]);
+        assert_eq!(cp.shapes(), [&[4, 6, 1, 1][..], &[4, 1, 3, 1], &[4, 1, 1, 5], &[8, 4, 1, 1]]);
+        let layout: Vec<_> = cp.factors.iter().map(|f| (f.groups, f.spatial)).collect();
+        assert_eq!(
+            layout,
+            [(1, Spatial::None), (4, Spatial::H), (4, Spatial::W), (1, Spatial::None)]
+        );
     }
 
     #[test]
@@ -247,23 +222,12 @@ mod tests {
     }
 
     #[test]
-    fn decomposed_sequence_matches_reconstructed_conv() {
-        let w = Tensor::randn(&[6, 4, 3, 3], 17);
-        let cp = cp_decompose(&w, 5, 40);
-        let rec = cp.reconstruct();
-
-        let x = Tensor::randn(&[1, 4, 8, 8], 18);
-        let p = Conv2dParams::new(1, 1);
-        let direct = conv2d(&x, &rec, None, &p);
-
-        let r = cp.rank();
-        let z1 = conv2d(&x, &cp.fconv, None, &Conv2dParams::default());
-        let ph = Conv2dParams { stride: (1, 1), padding: (1, 0), groups: r };
-        let z2 = conv2d(&z1, &cp.conv_h, None, &ph);
-        let pw = Conv2dParams { stride: (1, 1), padding: (0, 1), groups: r };
-        let z3 = conv2d(&z2, &cp.conv_w, None, &pw);
-        let out = conv2d(&z3, &cp.lconv, None, &Conv2dParams::default());
-
-        assert!(direct.all_close(&out, 1e-3), "diff {}", direct.max_abs_diff(&out));
+    fn folding_the_scales_keeps_the_kernel() {
+        let w = Tensor::randn(&[7, 5, 1, 1], 17);
+        let cp = cp_decompose(&w, 3, 10);
+        let folded = fold_scales(cp.clone());
+        assert_eq!(folded.shapes(), [&[3, 5, 1, 1][..], &[7, 3, 1, 1]]);
+        let (a, b) = (cp.reconstruct(), folded.reconstruct());
+        assert!(a.all_close(&b, 1e-5), "diff {}", a.max_abs_diff(&b));
     }
 }

@@ -1,16 +1,15 @@
 //! Low-rank compression of weight *matrices* (Linear layers).
 //!
 //! Transformer weights are `[f_out, f_in]` matrices, not 4-D conv kernels,
-//! but the same machinery applies: the matrix is viewed as a degenerate
-//! `[f_out, f_in, 1, 1]` kernel and handed to the existing conv
-//! decomposers. The factorizations come back as chains of plain matrices —
-//! a `Linear` sequence `x → F → (G) → L` replacing one dense layer:
+//! but [`factorize`] takes them as they are: the matrix is viewed as a
+//! degenerate `[f_out, f_in, 1, 1]` kernel and comes back as an all-1×1
+//! [`FactorChain`] — a `Linear` sequence `x → F → (G) → L` replacing one
+//! dense layer:
 //!
 //! * **Tucker** — `W ≈ U₀ · G · U₁ᵀ`, a three-factor chain (two-sided SVD
 //!   with core; the 1×1-kernel degeneration of Tucker-2);
 //! * **CP** — `W ≈ A · Bᵀ` at rank R, a two-factor chain (the depthwise
-//!   spatial scales of the conv form are absorbed into the restoring
-//!   factor);
+//!   spatial scales of the conv form are folded into the restoring factor);
 //! * **TT** — the TT-SVD chain over `(f_in, 1, 1, f_out)`, four factors
 //!   with the bond ranks of the ratio policy.
 //!
@@ -19,80 +18,9 @@
 //! ratio-derived ranks, then picks the cheapest chain whose error fits the
 //! budget — or keeps the layer dense when nothing qualifies.
 
-use temco_tensor::{matmul, Tensor};
+use temco_tensor::Tensor;
 
-use crate::{
-    cp_decompose, cp_rank, relative_error, tt_decompose, tt_ranks, tucker2, tucker_ranks, Method,
-};
-
-/// A chain of matrix factors replacing one dense `[f_out, f_in]` weight.
-///
-/// Factors are ordered input-to-output: applying `factors[0]` first, then
-/// `factors[1]`, … reproduces (approximately) the dense layer. Each factor
-/// is a `[f_out_i, f_in_i]` Linear weight with
-/// `f_in_0 = f_in`, `f_out_last = f_out`, and interior dims chained.
-#[derive(Clone, Debug)]
-pub struct MatrixChain {
-    /// Linear weights, applied first-to-last.
-    pub factors: Vec<Tensor>,
-}
-
-impl MatrixChain {
-    /// Total parameter count of the chain.
-    pub fn param_count(&self) -> usize {
-        self.factors.iter().map(|f| f.numel()).sum()
-    }
-
-    /// FLOPs to push one input row through the chain (2·m·n per factor).
-    pub fn flops_per_row(&self) -> u64 {
-        self.factors.iter().map(|f| 2 * f.numel() as u64).sum()
-    }
-
-    /// Multiply the chain back together: `Ŵ = f_last ⋯ f_1 f_0`.
-    pub fn reconstruct(&self) -> Tensor {
-        let mut w = self.factors[0].clone();
-        for f in &self.factors[1..] {
-            w = matmul(f, &w, false, false);
-        }
-        w
-    }
-}
-
-/// Factorize a `[f_out, f_in]` matrix with one family at the ratio-derived
-/// ranks. `iters` is the refinement budget (HOOI rounds for Tucker, ALS
-/// rounds for CP; TT-SVD is direct).
-pub fn compress_matrix(w: &Tensor, method: Method, ratio: f64, iters: usize) -> MatrixChain {
-    assert_eq!(w.shape().len(), 2, "compress_matrix expects a [f_out, f_in] weight");
-    let (f_out, f_in) = (w.dim(0), w.dim(1));
-    let w4 = w.reshape(&[f_out, f_in, 1, 1]);
-    let as_mat = |t: &Tensor| t.reshape(&[t.dim(0), t.dim(1)]);
-    let factors = match method {
-        Method::Tucker => {
-            let (r_out, r_in) = tucker_ranks(f_out, f_in, ratio);
-            let t = tucker2(&w4, r_out, r_in, iters);
-            vec![as_mat(&t.fconv), as_mat(&t.core), as_mat(&t.lconv)]
-        }
-        Method::Cp => {
-            let r = cp_rank(f_out, f_in, ratio);
-            let cp = cp_decompose(&w4, r, iters);
-            // The two depthwise 1×1 "spatial" factors are per-rank scales;
-            // fold them into the restoring factor's columns.
-            let mut restore = as_mat(&cp.lconv);
-            for o in 0..f_out {
-                for rr in 0..r {
-                    let s = cp.conv_h.data()[rr] * cp.conv_w.data()[rr];
-                    restore.data_mut()[o * r + rr] *= s;
-                }
-            }
-            vec![as_mat(&cp.fconv), restore]
-        }
-        Method::TensorTrain => {
-            let tt = tt_decompose(&w4, tt_ranks(f_out, f_in, ratio));
-            vec![as_mat(&tt.fconv), as_mat(&tt.core_h), as_mat(&tt.core_w), as_mat(&tt.lconv)]
-        }
-    };
-    MatrixChain { factors }
-}
+use crate::{factorize, relative_error, FactorChain, Method};
 
 /// What the per-layer selector decided for one weight matrix, with the
 /// measurements that drove the decision.
@@ -100,8 +28,8 @@ pub fn compress_matrix(w: &Tensor, method: Method, ratio: f64, iters: usize) -> 
 pub struct MatrixChoice {
     /// Winning family, or `None` to keep the layer dense.
     pub method: Option<Method>,
-    /// The winning chain (`None` iff `method` is `None`).
-    pub chain: Option<MatrixChain>,
+    /// The winning all-1×1 chain (`None` iff `method` is `None`).
+    pub chain: Option<FactorChain>,
     /// Dense parameter count.
     pub params_before: usize,
     /// Chain parameter count (equals `params_before` when dense).
@@ -125,20 +53,20 @@ pub fn select_matrix(w: &Tensor, ratio: f64, error_budget: f64, iters: usize) ->
     assert_eq!(w.shape().len(), 2, "select_matrix expects a [f_out, f_in] weight");
     let params_before = w.numel();
     let flops_before = 2 * w.numel() as u64;
-    let mut best: Option<(Method, MatrixChain, f64)> = None;
-    for method in [Method::Tucker, Method::Cp, Method::TensorTrain] {
-        let chain = compress_matrix(w, method, ratio, iters);
-        if chain.param_count() >= params_before || chain.flops_per_row() >= flops_before {
+    let mut best: Option<(Method, FactorChain, f64)> = None;
+    for method in Method::ALL {
+        let chain = factorize(w, method, ratio, iters);
+        if chain.param_count() >= params_before || chain.flops_per_pixel() >= flops_before {
             continue;
         }
-        let err = relative_error(w, &chain.reconstruct());
+        let err = matrix_error(w, &chain);
         if err > error_budget {
             continue;
         }
         let better = match &best {
             None => true,
             Some((_, b, berr)) => {
-                let (f, bf) = (chain.flops_per_row(), b.flops_per_row());
+                let (f, bf) = (chain.flops_per_pixel(), b.flops_per_pixel());
                 f < bf || (f == bf && err < *berr)
             }
         };
@@ -152,7 +80,7 @@ pub fn select_matrix(w: &Tensor, ratio: f64, error_budget: f64, iters: usize) ->
             params_before,
             params_after: chain.param_count(),
             flops_before,
-            flops_after: chain.flops_per_row(),
+            flops_after: chain.flops_per_pixel(),
             rel_error,
             chain: Some(chain),
         },
@@ -168,9 +96,15 @@ pub fn select_matrix(w: &Tensor, ratio: f64, error_budget: f64, iters: usize) ->
     }
 }
 
+/// Relative reconstruction error of an all-1×1 chain against its matrix.
+fn matrix_error(w: &Tensor, chain: &FactorChain) -> f64 {
+    relative_error(w, &Tensor::from_vec(w.shape(), chain.reconstruct().into_vec()))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use temco_tensor::matmul;
 
     /// A genuinely low-rank matrix: `A · B` with inner dim `r`.
     fn low_rank(m: usize, n: usize, r: usize, seed: u64) -> Tensor {
@@ -182,29 +116,40 @@ mod tests {
     #[test]
     fn chains_have_the_documented_shapes() {
         let w = Tensor::randn(&[24, 16], 3);
-        let t = compress_matrix(&w, Method::Tucker, 0.25, 2);
-        assert_eq!(t.factors.len(), 3);
-        assert_eq!(t.factors[0].shape(), &[4, 16]);
-        assert_eq!(t.factors[1].shape(), &[6, 4]);
-        assert_eq!(t.factors[2].shape(), &[24, 6]);
-        let c = compress_matrix(&w, Method::Cp, 0.25, 8);
-        assert_eq!(c.factors.len(), 2);
-        assert_eq!(c.factors[0].dim(1), 16);
-        assert_eq!(c.factors[1].dim(0), 24);
-        let tt = compress_matrix(&w, Method::TensorTrain, 0.25, 0);
+        let t = factorize(&w, Method::Tucker, 0.25, 2);
+        assert_eq!(t.shapes(), [&[4, 16, 1, 1][..], &[6, 4, 1, 1], &[24, 6, 1, 1]]);
+        let c = factorize(&w, Method::Cp, 0.25, 8);
+        assert_eq!(c.shapes(), [&[6, 16, 1, 1][..], &[24, 6, 1, 1]]);
+        let tt = factorize(&w, Method::TensorTrain, 0.25, 0);
         assert_eq!(tt.factors.len(), 4);
-        assert_eq!(tt.factors[0].dim(1), 16);
-        assert_eq!(tt.factors[3].dim(0), 24);
+        assert_eq!(tt.factors[0].weight.dim(1), 16);
+        assert_eq!(tt.factors[3].weight.dim(0), 24);
+        for chain in [t, c, tt] {
+            assert!(chain.factors.iter().all(|f| f.groups == 1 && f.weight.numel() > 0));
+        }
+    }
+
+    #[test]
+    fn matrix_chain_reconstructs_as_the_product_of_its_factors() {
+        // The selector breaks FLOP ties on this error: the reconstruction
+        // must be the plain GEMM product of the factors, bit for bit.
+        let w = Tensor::randn(&[24, 16], 5);
+        for method in Method::ALL {
+            let chain = factorize(&w, method, 0.25, 2);
+            let mats: Vec<Tensor> =
+                chain.factors.iter().map(|f| f.weight.reshape(&f.weight.shape()[..2])).collect();
+            let product =
+                mats[1..].iter().fold(mats[0].clone(), |acc, f| matmul(f, &acc, false, false));
+            assert_eq!(chain.reconstruct().data(), product.data(), "{}", method.name());
+        }
     }
 
     #[test]
     fn low_rank_matrices_are_recovered_tightly() {
         let w = low_rank(32, 48, 4, 7);
         // Ratio 0.25 of 48 → rank 12 ≥ true rank 4: near-exact recovery.
-        let t = compress_matrix(&w, Method::Tucker, 0.25, 2);
-        assert!(relative_error(&w, &t.reconstruct()) < 1e-3);
-        let tt = compress_matrix(&w, Method::TensorTrain, 0.25, 0);
-        assert!(relative_error(&w, &tt.reconstruct()) < 1e-3);
+        assert!(matrix_error(&w, &factorize(&w, Method::Tucker, 0.25, 2)) < 1e-3);
+        assert!(matrix_error(&w, &factorize(&w, Method::TensorTrain, 0.25, 0)) < 1e-3);
     }
 
     #[test]
@@ -216,8 +161,8 @@ mod tests {
         assert!(choice.flops_after < choice.flops_before);
         assert!(choice.rel_error <= 0.1, "err {}", choice.rel_error);
         let chain = choice.chain.unwrap();
-        assert_eq!(chain.factors.first().unwrap().dim(1), 64);
-        assert_eq!(chain.factors.last().unwrap().dim(0), 64);
+        assert_eq!(chain.factors.first().unwrap().weight.dim(1), 64);
+        assert_eq!(chain.factors.last().unwrap().weight.dim(0), 64);
     }
 
     #[test]

@@ -3,67 +3,14 @@
 use temco_linalg::{truncated_svd, Mat};
 use temco_tensor::Tensor;
 
-/// A TT factorization of a conv weight `[c_out, c_in, kh, kw]`, laid out as
-/// the four convolution weights of the decomposed sequence: pointwise
-/// factor convolutions around two spatially-separable core convolutions.
-#[derive(Clone, Debug)]
-pub struct TtConv {
-    /// Reducing 1×1 convolution `[r1, c_in, 1, 1]`.
-    pub fconv: Tensor,
-    /// Vertical core convolution `[r2, r1, kh, 1]`.
-    pub core_h: Tensor,
-    /// Horizontal core convolution `[r3, r2, 1, kw]`.
-    pub core_w: Tensor,
-    /// Restoring 1×1 convolution `[c_out, r3, 1, 1]`.
-    pub lconv: Tensor,
-}
-
-impl TtConv {
-    /// `(r1, r2, r3)` TT ranks.
-    pub fn ranks(&self) -> (usize, usize, usize) {
-        (self.fconv.dim(0), self.core_h.dim(0), self.core_w.dim(0))
-    }
-
-    /// Total parameter count of the four factors.
-    pub fn param_count(&self) -> usize {
-        self.fconv.numel() + self.core_h.numel() + self.core_w.numel() + self.lconv.numel()
-    }
-
-    /// Reconstruct the full kernel
-    /// `Ŵ[o,i,h,w] = Σ U1[i,r1] G2[r1,h,r2] G3[r2,w,r3] G4[r3,o]`.
-    pub fn reconstruct(&self) -> Tensor {
-        let (r1, r2, r3) = self.ranks();
-        let c_in = self.fconv.dim(1);
-        let c_out = self.lconv.dim(0);
-        let (kh, kw) = (self.core_h.dim(2), self.core_w.dim(3));
-        let mut out = Tensor::zeros(&[c_out, c_in, kh, kw]);
-        for o in 0..c_out {
-            for i in 0..c_in {
-                for h in 0..kh {
-                    for w in 0..kw {
-                        let mut s = 0.0f32;
-                        for a in 0..r1 {
-                            for b in 0..r2 {
-                                for c in 0..r3 {
-                                    s += self.fconv.at4(a, i, 0, 0)
-                                        * self.core_h.at4(b, a, h, 0)
-                                        * self.core_w.at4(c, b, 0, w)
-                                        * self.lconv.at4(o, c, 0, 0);
-                                }
-                            }
-                        }
-                        *out.at4_mut(o, i, h, w) = s;
-                    }
-                }
-            }
-        }
-        out
-    }
-}
+use crate::{Factor, FactorChain, Spatial};
 
 /// TT-SVD over the `(c_in, kh, kw, c_out)` axis ordering with target ranks
-/// `(r1, r2, r3)` (each clamped to its feasible maximum).
-pub fn tt_decompose(weight: &Tensor, ranks: (usize, usize, usize)) -> TtConv {
+/// `(r1, r2, r3)` (each clamped to its feasible maximum). The chain is
+/// `fconv [r1, c_in, 1, 1] → core [r2, r1, kh, 1] → core [r3, r2, 1, kw] →
+/// lconv [c_out, r3, 1, 1]`, whose kernel is
+/// `Ŵ[o,i,h,w] = Σ U1[i,r1] G2[r1,h,r2] G3[r2,w,r3] G4[r3,o]`.
+pub fn tt_decompose(weight: &Tensor, ranks: (usize, usize, usize)) -> FactorChain {
     assert_eq!(weight.shape().len(), 4, "tt expects a 4-D conv weight");
     let (c_out, c_in, kh, kw) = (weight.dim(0), weight.dim(1), weight.dim(2), weight.dim(3));
 
@@ -132,7 +79,14 @@ pub fn tt_decompose(weight: &Tensor, ranks: (usize, usize, usize)) -> TtConv {
             *lconv.at4_mut(o, c, 0, 0) = g4[(c, o)] as f32;
         }
     }
-    TtConv { fconv, core_h, core_w, lconv }
+    FactorChain {
+        factors: vec![
+            Factor::pointwise(fconv),
+            Factor { weight: core_h, groups: 1, spatial: Spatial::H },
+            Factor { weight: core_w, groups: 1, spatial: Spatial::W },
+            Factor::pointwise(lconv),
+        ],
+    }
 }
 
 /// Multiply row `r` of `m` by `s[r]`.
@@ -150,16 +104,17 @@ fn scale_rows(m: &Mat, s: &[f64]) -> Mat {
 mod tests {
     use super::*;
     use crate::relative_error;
-    use temco_tensor::{conv2d, Conv2dParams};
 
     #[test]
     fn shapes_follow_tt_layout() {
         let w = Tensor::randn(&[8, 6, 3, 3], 1);
         let tt = tt_decompose(&w, (4, 5, 6));
-        assert_eq!(tt.fconv.shape(), &[4, 6, 1, 1]);
-        assert_eq!(tt.core_h.dim(1), 4);
-        assert_eq!(tt.core_w.dim(1), tt.core_h.dim(0));
-        assert_eq!(tt.lconv.shape()[0], 8);
+        let [r1, r2, r3] = tt.ranks()[..] else { panic!("TT has three bonds") };
+        assert_eq!(
+            tt.shapes(),
+            [&[r1, 6, 1, 1][..], &[r2, r1, 3, 1], &[r3, r2, 1, 3], &[8, r3, 1, 1]]
+        );
+        assert_eq!(r1, 4);
     }
 
     #[test]
@@ -187,30 +142,10 @@ mod tests {
     }
 
     #[test]
-    fn decomposed_sequence_matches_reconstructed_conv() {
-        let w = Tensor::randn(&[6, 4, 3, 3], 13);
-        let tt = tt_decompose(&w, (3, 5, 4));
-        let rec = tt.reconstruct();
-
-        let x = Tensor::randn(&[2, 4, 7, 7], 14);
-        let p = Conv2dParams::new(1, 1);
-        let direct = conv2d(&x, &rec, None, &p);
-
-        let z1 = conv2d(&x, &tt.fconv, None, &Conv2dParams::default());
-        let ph = Conv2dParams { stride: (1, 1), padding: (1, 0), groups: 1 };
-        let z2 = conv2d(&z1, &tt.core_h, None, &ph);
-        let pw = Conv2dParams { stride: (1, 1), padding: (0, 1), groups: 1 };
-        let z3 = conv2d(&z2, &tt.core_w, None, &pw);
-        let out = conv2d(&z3, &tt.lconv, None, &Conv2dParams::default());
-
-        assert!(direct.all_close(&out, 1e-3), "diff {}", direct.max_abs_diff(&out));
-    }
-
-    #[test]
     fn ranks_are_clamped_to_feasible_values() {
         let w = Tensor::randn(&[4, 3, 3, 3], 19);
         let tt = tt_decompose(&w, (100, 100, 100));
-        let (r1, r2, r3) = tt.ranks();
+        let [r1, r2, r3] = tt.ranks()[..] else { panic!("TT has three bonds") };
         assert!(r1 <= 3);
         assert!(r2 <= r1 * 3);
         assert!(r3 <= 4);

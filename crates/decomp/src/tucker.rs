@@ -4,41 +4,19 @@ use temco_linalg::{leading_evecs_sym, Mat};
 use temco_tensor::Tensor;
 
 use crate::unfold::{ttm, unfold, Tensor4};
-
-/// A Tucker-2 factorization of a conv weight `[c_out, c_in, kh, kw]`,
-/// already laid out as the three convolution weights of the decomposed
-/// sequence in Figure 2b of the paper.
-#[derive(Clone, Debug)]
-pub struct Tucker2 {
-    /// First (reducing) 1×1 convolution weight `[r_in, c_in, 1, 1]`.
-    pub fconv: Tensor,
-    /// Core convolution weight `[r_out, r_in, kh, kw]`.
-    pub core: Tensor,
-    /// Last (restoring) 1×1 convolution weight `[c_out, r_out, 1, 1]`.
-    pub lconv: Tensor,
-}
-
-impl Tucker2 {
-    /// `(r_out, r_in)` ranks of the factorization.
-    pub fn ranks(&self) -> (usize, usize) {
-        (self.core.dim(0), self.core.dim(1))
-    }
-
-    /// Total parameter count of the three factors.
-    pub fn param_count(&self) -> usize {
-        self.fconv.numel() + self.core.numel() + self.lconv.numel()
-    }
-}
+use crate::{Factor, FactorChain, Spatial};
 
 /// Tucker-2 decomposition with HOSVD initialization and `hooi_iters` rounds
 /// of HOOI refinement on the two channel modes.
 ///
 /// `weight` is `[c_out, c_in, kh, kw]`; the spatial modes are kept intact
-/// (that is what makes the core a `kh×kw` convolution).
+/// (that is what makes the core a `kh×kw` convolution). The chain is the
+/// decomposed sequence of the paper's Figure 2b: `fconv [r_in, c_in, 1, 1]
+/// → core [r_out, r_in, kh, kw] → lconv [c_out, r_out, 1, 1]`.
 ///
 /// # Panics
 /// Panics if ranks exceed the channel dims or the weight is not 4-D.
-pub fn tucker2(weight: &Tensor, r_out: usize, r_in: usize, hooi_iters: usize) -> Tucker2 {
+pub fn tucker2(weight: &Tensor, r_out: usize, r_in: usize, hooi_iters: usize) -> FactorChain {
     assert_eq!(weight.shape().len(), 4, "tucker2 expects a 4-D conv weight");
     let (c_out, c_in) = (weight.dim(0), weight.dim(1));
     assert!(r_out >= 1 && r_out <= c_out, "r_out {r_out} out of range (c_out {c_out})");
@@ -61,18 +39,14 @@ pub fn tucker2(weight: &Tensor, r_out: usize, r_in: usize, hooi_iters: usize) ->
     // Core: G = W ×0 U0ᵀ ×1 U1ᵀ  →  [r_out, r_in, kh, kw].
     let core4 = ttm(&ttm(&w, &u0.transpose(), 0), &u1.transpose(), 1);
 
-    let fconv = mat_to_conv1x1(&u1.transpose()); // [r_in, c_in, 1, 1]
-    let lconv = mat_to_conv1x1(&u0); // [c_out, r_out, 1, 1]
-    Tucker2 { fconv, core: core4.to_tensor(), lconv }
-}
-
-/// Reconstruct the full kernel `Ŵ = G ×0 U0 ×1 U1` for error measurement.
-pub fn tucker2_reconstruct(t: &Tucker2) -> Tensor {
-    let core = Tensor4::from_tensor(&t.core);
-    let u0 = conv1x1_to_mat(&t.lconv); // c_out × r_out
-    let u1 = conv1x1_to_mat(&t.fconv).transpose(); // c_in × r_in
-    let rec = ttm(&ttm(&core, &u0, 0), &u1, 1);
-    rec.to_tensor()
+    let core = Factor { weight: core4.to_tensor(), groups: 1, spatial: Spatial::Both };
+    FactorChain {
+        factors: vec![
+            Factor::pointwise(mat_to_conv1x1(&u1.transpose())),
+            core,
+            Factor::pointwise(mat_to_conv1x1(&u0)),
+        ],
+    }
 }
 
 /// Leading `k` eigenvectors (as columns) of `m mᵀ`.
@@ -85,18 +59,10 @@ fn mat_to_conv1x1(m: &Mat) -> Tensor {
     Tensor::from_vec(&[m.rows(), m.cols(), 1, 1], m.as_slice().iter().map(|&x| x as f32).collect())
 }
 
-/// `[r, c, 1, 1]` conv weight → `[r, c]` matrix.
-fn conv1x1_to_mat(t: &Tensor) -> Mat {
-    assert_eq!(t.dim(2), 1);
-    assert_eq!(t.dim(3), 1);
-    Mat::from_vec(t.dim(0), t.dim(1), t.data().iter().map(|&x| x as f64).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::relative_error;
-    use temco_tensor::{conv2d, Conv2dParams};
 
     /// Build an exactly Tucker-2-rank-(ro, ri) kernel.
     fn low_rank_kernel(c_out: usize, c_in: usize, k: usize, ro: usize, ri: usize) -> Tensor {
@@ -110,16 +76,15 @@ mod tests {
     fn shapes_follow_figure_2b() {
         let w = Tensor::randn(&[16, 8, 3, 3], 1);
         let t = tucker2(&w, 4, 2, 2);
-        assert_eq!(t.fconv.shape(), &[2, 8, 1, 1]);
-        assert_eq!(t.core.shape(), &[4, 2, 3, 3]);
-        assert_eq!(t.lconv.shape(), &[16, 4, 1, 1]);
+        assert_eq!(t.shapes(), [&[2, 8, 1, 1][..], &[4, 2, 3, 3], &[16, 4, 1, 1]]);
+        assert_eq!(t.factors[1].spatial, Spatial::Both);
     }
 
     #[test]
     fn exact_recovery_of_low_rank_kernel() {
         let w = low_rank_kernel(12, 10, 3, 3, 2);
         let t = tucker2(&w, 3, 2, 2);
-        let rec = tucker2_reconstruct(&t);
+        let rec = t.reconstruct();
         assert!(relative_error(&w, &rec) < 1e-4, "err {}", relative_error(&w, &rec));
     }
 
@@ -128,7 +93,7 @@ mod tests {
         let w = Tensor::randn(&[16, 16, 3, 3], 5);
         let errs: Vec<f64> = [2usize, 4, 8, 16]
             .iter()
-            .map(|&r| relative_error(&w, &tucker2_reconstruct(&tucker2(&w, r, r, 2))))
+            .map(|&r| relative_error(&w, &tucker2(&w, r, r, 2).reconstruct()))
             .collect();
         for pair in errs.windows(2) {
             assert!(pair[0] >= pair[1] - 1e-9, "{errs:?}");
@@ -140,28 +105,9 @@ mod tests {
     #[test]
     fn hooi_does_not_hurt_fit() {
         let w = Tensor::randn(&[20, 12, 3, 3], 9);
-        let e0 = relative_error(&w, &tucker2_reconstruct(&tucker2(&w, 5, 3, 0)));
-        let e3 = relative_error(&w, &tucker2_reconstruct(&tucker2(&w, 5, 3, 3)));
+        let e0 = relative_error(&w, &tucker2(&w, 5, 3, 0).reconstruct());
+        let e3 = relative_error(&w, &tucker2(&w, 5, 3, 3).reconstruct());
         assert!(e3 <= e0 + 1e-6, "HOSVD {e0} vs HOOI {e3}");
-    }
-
-    #[test]
-    fn decomposed_sequence_matches_reconstructed_conv() {
-        // conv(x, Ŵ) must equal fconv → core → lconv applied in sequence.
-        let w = Tensor::randn(&[8, 6, 3, 3], 21);
-        let t = tucker2(&w, 3, 2, 2);
-        let rec = tucker2_reconstruct(&t);
-
-        let x = Tensor::randn(&[2, 6, 9, 9], 22);
-        let p = Conv2dParams::new(1, 1);
-        let direct = conv2d(&x, &rec, None, &p);
-
-        let p1x1 = Conv2dParams::default();
-        let reduced1 = conv2d(&x, &t.fconv, None, &p1x1);
-        let reduced2 = conv2d(&reduced1, &t.core, None, &p);
-        let restored = conv2d(&reduced2, &t.lconv, None, &p1x1);
-
-        assert!(direct.all_close(&restored, 1e-3), "diff {}", direct.max_abs_diff(&restored));
     }
 
     #[test]
@@ -169,8 +115,8 @@ mod tests {
         // DenseNet bottlenecks are 1×1; Tucker-2 degrades to a two-sided SVD.
         let w = Tensor::randn(&[32, 16, 1, 1], 31);
         let t = tucker2(&w, 8, 4, 1);
-        assert_eq!(t.core.shape(), &[8, 4, 1, 1]);
-        let rec = tucker2_reconstruct(&t);
+        assert_eq!(t.factors[1].weight.shape(), &[8, 4, 1, 1]);
+        let rec = t.reconstruct();
         assert_eq!(rec.shape(), w.shape());
     }
 

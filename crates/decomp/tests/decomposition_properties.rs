@@ -2,9 +2,7 @@
 //! error monotonicity over random kernel shapes.
 
 use proptest::prelude::*;
-use temco_decomp::{
-    cp_decompose, relative_error, tt_decompose, tucker2, tucker2_reconstruct, tucker_ranks,
-};
+use temco_decomp::{cp_decompose, relative_error, tt_decompose, tucker2, tucker_ranks};
 use temco_tensor::Tensor;
 
 proptest! {
@@ -21,15 +19,11 @@ proptest! {
         let (ro, ri) = tucker_ranks(c_out, c_in, 0.5);
         let t = tucker2(&w, ro, ri, 1);
         // Structural contract: fconv reduces, lconv restores.
-        let fshape = [ri, c_in, 1, 1];
-        let cshape = [ro, ri, k, k];
-        let lshape = [c_out, ro, 1, 1];
-        prop_assert_eq!(t.fconv.shape(), &fshape);
-        prop_assert_eq!(t.core.shape(), &cshape);
-        prop_assert_eq!(t.lconv.shape(), &lshape);
+        let shapes: Vec<&[usize]> = t.factors.iter().map(|f| f.weight.shape()).collect();
+        prop_assert_eq!(shapes, [&[ri, c_in, 1, 1][..], &[ro, ri, k, k], &[c_out, ro, 1, 1]]);
         // The reconstruction is a projection: error within [0, ~1] for
         // random kernels (cannot exceed the original's norm).
-        let err = relative_error(&w, &tucker2_reconstruct(&t));
+        let err = relative_error(&w, &t.reconstruct());
         prop_assert!((0.0..=1.0 + 1e-6).contains(&err), "err {}", err);
     }
 
@@ -43,7 +37,7 @@ proptest! {
         for r in [1usize, c / 2, c] {
             let r = r.max(1);
             let t = tucker2(&w, r, r, 1);
-            let err = relative_error(&w, &tucker2_reconstruct(&t));
+            let err = relative_error(&w, &t.reconstruct());
             prop_assert!(err <= last + 1e-6, "rank {} err {} > prev {}", r, err, last);
             last = err;
         }
@@ -62,7 +56,7 @@ proptest! {
     ) {
         let w = Tensor::randn(&[c_out, c_in, 3, 3], seed);
         let tt = tt_decompose(&w, (r1, r2, r3));
-        let (a, b, c) = tt.ranks();
+        let [a, b, c] = tt.ranks()[..] else { panic!("TT has three bonds") };
         prop_assert!(a <= c_in.min(9 * c_out));
         prop_assert!(b <= (a * 3).min(3 * c_out));
         prop_assert!(c <= (b * 3).min(c_out));
@@ -78,7 +72,7 @@ proptest! {
     ) {
         let w = Tensor::randn(&[c, c, 3, 3], seed);
         let cp = cp_decompose(&w, r, 2);
-        prop_assert_eq!(cp.rank(), r);
+        prop_assert_eq!(cp.factors[0].weight.dim(0), r);
         prop_assert_eq!(cp.param_count(), r * (c + 3 + 3 + c));
     }
 }

@@ -53,6 +53,13 @@ echo "=== fig10 slab / bytes-moved guard ==="
 cargo build --release -q -p temco-bench --bin fig10_guard
 ./target/release/fig10_guard
 
+# Decomposition lowering gate: regenerates Figure 2 for Tucker, CP and TT,
+# running each factor chain layer by layer against one convolution with
+# the reconstructed kernel; exits non-zero if any row deviates by > 1e-3.
+echo "=== fig2_decomposition (factor-chain lowering gate) ==="
+cargo build --release -q -p temco-bench --bin fig2_decomposition
+./target/release/fig2_decomposition
+
 # Observability overhead gate: interleaved off/on medians of the traced
 # engine (fig11-style); fail if span recording costs more than 3%.
 echo "=== obs overhead gate (<= ${TEMCO_OBS_GATE_PCT:-3}%) ==="

@@ -164,8 +164,8 @@ fn dense_block_embedding_never_beats_the_alias_free_peak() {
     let compiler = Compiler::default();
     for id in [ModelId::Densenet121, ModelId::Unet] {
         let g = id.build(&cfg);
-        for level in [OptLevel::Decomposed, OptLevel::SkipOptFusion] {
-            let (opt, _) = compiler.compile(&g, level);
+        let levels = [OptLevel::Decomposed, OptLevel::SkipOptFusion];
+        for (level, (opt, _)) in levels.into_iter().zip(compiler.compile_levels(&g, &levels)) {
             let lv = liveness(&opt);
             let full = plan_allocation_with_mode(&opt, &lv, AliasMode::Full);
             let off = plan_allocation_with_mode(&opt, &lv, AliasMode::Off);

@@ -2,7 +2,7 @@
 //! arena planning, rescheduling, and timeline shape on real models.
 
 use proptest::prelude::*;
-use temco::{compare_outputs, Compiler, CompilerOptions, OptLevel};
+use temco::{compare_outputs, CompileStats, Compiler, CompilerOptions, OptLevel};
 use temco_ir::{liveness, Graph};
 use temco_models::{ModelConfig, ModelId};
 use temco_runtime::{
@@ -21,13 +21,19 @@ fn arena_plan(g: &Graph) -> AllocationPlan {
     plan_allocation_with_mode(g, &liveness(g), AliasMode::Off)
 }
 
+/// `g` compiled at `Decomposed` and at `SkipOptFusion`, decomposed once.
+fn decomposed_and_optimized(compiler: &Compiler, g: &Graph) -> [(Graph, CompileStats); 2] {
+    let levels = [OptLevel::Decomposed, OptLevel::SkipOptFusion];
+    compiler.compile_levels(g, &levels).try_into().expect("one result per level")
+}
+
 #[test]
 fn arena_plans_are_valid_on_compiled_models() {
     let compiler = Compiler::default();
     for id in [ModelId::Vgg11, ModelId::Resnet18, ModelId::UnetSmall] {
         let g = id.build(&cfg());
-        for level in [OptLevel::Decomposed, OptLevel::SkipOptFusion] {
-            let (opt, _) = compiler.compile(&g, level);
+        let levels = [OptLevel::Decomposed, OptLevel::SkipOptFusion];
+        for (level, (opt, _)) in levels.into_iter().zip(compiler.compile_levels(&g, &levels)) {
             let arena = arena_plan(&opt);
             assert!(arena.validate().is_empty(), "{} @ {}", id.name(), level.label());
             let peak = plan_memory(&opt).peak_internal_bytes;
@@ -46,8 +52,7 @@ fn temco_reduces_arena_size_not_just_live_peak() {
     // live-byte peak, must shrink under TeMCO.
     let compiler = Compiler::default();
     let g = ModelId::UnetSmall.build(&cfg());
-    let (dec, _) = compiler.compile(&g, OptLevel::Decomposed);
-    let (opt, _) = compiler.compile(&g, OptLevel::SkipOptFusion);
+    let [(dec, _), (opt, _)] = decomposed_and_optimized(&compiler, &g);
     let a_dec = arena_plan(&dec).value_bytes;
     let a_opt = arena_plan(&opt).value_bytes;
     assert!(a_opt < a_dec, "arena {a_dec} → {a_opt}");
@@ -190,8 +195,7 @@ fn slab_execution_allocates_the_static_plan_on_all_models() {
     for id in ModelId::all() {
         let g = id.build(&cfg);
         let x = Tensor::randn(&[cfg.batch, 3, cfg.image, cfg.image], 5);
-        for level in levels {
-            let (opt, _) = compiler.compile(&g, level);
+        for (level, (opt, _)) in levels.into_iter().zip(compiler.compile_levels(&g, &levels)) {
             let res = execute(&opt, std::slice::from_ref(&x), ExecOptions::default())
                 .unwrap_or_else(|e| panic!("{} @ {}: {e}", id.name(), level.label()));
             let plan = plan_memory(&opt);
@@ -218,8 +222,7 @@ fn unet_timeline_floor_drops_under_temco() {
     // the middle half of each timeline.
     let compiler = Compiler::default();
     let g = ModelId::UnetSmall.build(&ModelConfig { batch: 4, ..cfg() });
-    let (dec, _) = compiler.compile(&g, OptLevel::Decomposed);
-    let (opt, _) = compiler.compile(&g, OptLevel::SkipOptFusion);
+    let [(dec, _), (opt, _)] = decomposed_and_optimized(&compiler, &g);
     let median_mid = |g: &temco_ir::Graph| {
         let t = plan_memory(g).timeline;
         let n = t.len();

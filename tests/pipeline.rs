@@ -31,8 +31,10 @@ fn check_model(id: ModelId, exec: bool) {
     let g = id.build(&cfg);
     let best = if id.has_skip_connections() { OptLevel::SkipOptFusion } else { OptLevel::Fusion };
 
-    let (dec, dstats) = compiler.compile(&g, OptLevel::Decomposed);
-    let (opt, ostats) = compiler.compile(&g, best);
+    let [(dec, dstats), (opt, ostats)]: [_; 2] = compiler
+        .compile_levels(&g, &[OptLevel::Decomposed, best])
+        .try_into()
+        .expect("one result per level");
     assert!(temco_ir::verify(&dec).is_empty(), "{}: decomposed malformed", id.name());
     assert!(temco_ir::verify(&opt).is_empty(), "{}: optimized malformed", id.name());
     assert!(dstats.decompose.convs_decomposed > 0, "{}: nothing decomposed", id.name());
@@ -134,12 +136,14 @@ fn all_four_levels_compose_on_unet_small() {
     let compiler = Compiler::default();
     let g = ModelId::UnetSmall.build(&cfg);
     let x = Tensor::randn(&[cfg.batch, 3, cfg.image, cfg.image], 3);
-    let (dec, _) = compiler.compile(&g, OptLevel::Decomposed);
+    let levels =
+        [OptLevel::Decomposed, OptLevel::Fusion, OptLevel::SkipOpt, OptLevel::SkipOptFusion];
+    let mut compiled = levels.into_iter().zip(compiler.compile_levels(&g, &levels));
+    let (_, (dec, _)) = compiled.next().expect("the decomposed level");
     let base =
         execute(&dec, std::slice::from_ref(&x), ExecOptions::default()).expect("execution failed");
     let mut peaks = vec![plan_memory(&dec).peak_internal_bytes];
-    for level in [OptLevel::Fusion, OptLevel::SkipOpt, OptLevel::SkipOptFusion] {
-        let (opt, _) = compiler.compile(&g, level);
+    for (level, (opt, _)) in compiled {
         assert!(temco_ir::verify(&opt).is_empty(), "{}", level.label());
         let out = execute(&opt, std::slice::from_ref(&x), ExecOptions::default())
             .expect("execution failed");

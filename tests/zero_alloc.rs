@@ -67,8 +67,7 @@ fn engine_steady_state_performs_zero_heap_allocations() {
     for id in ModelId::all() {
         let g = id.build(&cfg);
         let x = Tensor::randn(&[cfg.batch, 3, cfg.image, cfg.image], 21);
-        for level in levels {
-            let (opt, _) = compiler.compile(&g, level);
+        for (level, (opt, _)) in levels.into_iter().zip(compiler.compile_levels(&g, &levels)) {
             let mut engine = Engine::new(opt)
                 .unwrap_or_else(|e| panic!("{} @ {}: {e}", id.name(), level.label()));
             // Warmup: populates anything lazily initialized (thread pool,
@@ -173,8 +172,8 @@ fn engine_agrees_with_per_node_baseline() {
     for id in [ModelId::Vgg11, ModelId::Resnet18, ModelId::UnetSmall] {
         let g = id.build(&cfg);
         let x = Tensor::randn(&[cfg.batch, 3, cfg.image, cfg.image], 33);
-        for level in [OptLevel::Decomposed, OptLevel::SkipOptFusion] {
-            let (opt, _) = compiler.compile(&g, level);
+        let levels = [OptLevel::Decomposed, OptLevel::SkipOptFusion];
+        for (level, (opt, _)) in levels.into_iter().zip(compiler.compile_levels(&g, &levels)) {
             let baseline = execute(
                 &opt,
                 std::slice::from_ref(&x),
