@@ -6,7 +6,10 @@
 //! holds it to that: ResNet-18 runs on the zero-alloc [`Engine`] with
 //! tracing off and with a preallocated [`Recorder`] attached,
 //! *interleaved* rep by rep (fig11-style) so thermal or scheduler drift
-//! hits both sides equally, and the medians are compared.
+//! hits both sides equally, and the medians are compared. A third arm
+//! times the serving path as a worker runs it: record into a ring on the
+//! flight recorder's clock, then publish the ring to the shared flight
+//! ring under one lock.
 //!
 //! The acceptance gate is `overhead_pct`: with `TEMCO_OBS_GATE_PCT` set
 //! (as `scripts/check.sh` does), the run fails if the traced median
@@ -50,16 +53,16 @@ fn main() {
     let input = std::slice::from_ref(&x);
     let spans_per_run = engine.graph().nodes.len() + 1;
     let mut rec = Recorder::with_capacity(reps * spans_per_run + 16);
-    // The serving flight path: same spans, but written through the shared
-    // drop-oldest ring (mutex-guarded) with a batch trace tag — the
-    // always-on configuration. Measured alongside as a third interleaved
-    // arm so the BENCH file records what "always on" actually costs.
+    // The always-on serving path, measured alongside as a third
+    // interleaved arm so the BENCH file records what it actually costs.
     let flight = FlightRecorder::with_capacity((reps + 1) * spans_per_run + 16);
+    let mut ring = flight.recorder(spans_per_run);
 
     // Warm up all three paths (first-touch, pack caches) before timing.
     engine.run(input).expect("warm-up");
     engine.run_recorded(input, &mut rec).expect("warm-up");
-    engine.run_flight(input, &flight, batch_trace(0)).expect("warm-up");
+    engine.run_recorded(input, &mut ring).expect("warm-up");
+    flight.publish(&mut ring, batch_trace(0));
     rec.clear();
 
     let mut off = Vec::with_capacity(reps);
@@ -73,7 +76,8 @@ fn main() {
         engine.run_recorded(input, &mut rec).expect("traced run");
         on.push(t0.elapsed().as_secs_f64());
         let t0 = Instant::now();
-        engine.run_flight(input, &flight, batch_trace(rep as u32 + 1)).expect("flight run");
+        engine.run_recorded(input, &mut ring).expect("flight run");
+        flight.publish(&mut ring, batch_trace(rep as u32 + 1));
         fl.push(t0.elapsed().as_secs_f64());
     }
     let off_s = median(off);
@@ -101,7 +105,7 @@ fn main() {
         "  flight ring {flight_s:.4}s, overhead {flight_overhead_pct:+.2}% \
          ({} ring events, {} dropped)",
         flight.total(),
-        flight.dropped()
+        flight.read(Recorder::dropped)
     );
 
     let mut f = std::fs::File::create(&out_path).expect("create BENCH_obs.json");

@@ -1,23 +1,26 @@
-//! Linked chrome://tracing export: labeled tracks, causal flow arrows,
-//! and a parser so tests (and the fault injector) can verify a dump
-//! instead of eyeballing it.
+//! chrome://tracing export: labeled tracks, causal flow arrows, and a
+//! parser so tests (and the fault injector) can verify a dump instead of
+//! eyeballing it.
 //!
-//! [`crate::trace::chrome_trace`] renders one flat track of complete
-//! events — right for a single engine profile. A *serving* trace is a
-//! different animal: one request's life crosses the connection plane, a
-//! shard queue, a worker's batch, and the engine, each on its own
-//! thread. [`chrome_trace_linked`] therefore:
+//! [`chrome_trace`] is the one writer, for an engine profile and a serving
+//! dump alike. A serving request's life crosses the connection plane, a
+//! shard queue, a worker's batch, and the engine, each on its own thread,
+//! so the writer:
 //!
 //! * emits `process_name` / `thread_name` metadata (`"ph":"M"`) so the
 //!   viewer labels the planes instead of showing bare tids;
 //! * places spans on a stable tid per plane (connection plane, shard
-//!   queues, workers, engine, events);
+//!   queues, workers, engine, events) — an engine profile's `RUN`/`NODE`
+//!   spans all land on the engine track;
 //! * draws flow arrows (`"ph":"s"/"t"/"f"`, one flow id per request
 //!   trace) through the request's span chain — ACCEPT → ADMIT → QUEUE →
 //!   the owning batch's BATCH_RUN/SCATTER (joined via MEMBER fan-in
 //!   instants) → REPLY — which chrome renders as arrows from slice to
 //!   slice;
 //! * renders MEMBER/EVENT records as thread-scoped instants.
+//!
+//! Nothing depends on the order of the input events: flow chains are
+//! sorted by time, and the viewer places slices by timestamp.
 //!
 //! Trace ids are serialized as JSON *strings* (`"args":{"trace":"…"}`):
 //! batch traces live above 2^62 ([`crate::flight::BATCH_TRACE_BASE`])
@@ -77,7 +80,7 @@ pub fn default_name(e: &Event) -> String {
 /// Render `events` as a labeled, flow-linked chrome://tracing document.
 /// `name_of` maps each span to its display name ([`default_name`] is a
 /// reasonable choice).
-pub fn chrome_trace_linked<'a, I, F>(events: I, mut name_of: F) -> String
+pub fn chrome_trace<'a, I, F>(events: I, mut name_of: F) -> String
 where
     I: IntoIterator<Item = &'a Event>,
     F: FnMut(&Event) -> String,
@@ -97,7 +100,7 @@ where
     // Metadata: label the process and every plane's track.
     emit(
         &mut out,
-        "\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"args\":{\"name\":\"temco-serve\"}",
+        "\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"args\":{\"name\":\"temco\"}",
     );
     for (t, label) in tid::ALL {
         emit(
@@ -570,7 +573,7 @@ mod tests {
     #[test]
     fn round_trip_preserves_shape_metadata_and_flows() {
         let events = request_life(42, 7);
-        let doc = chrome_trace_linked(events.iter(), default_name);
+        let doc = chrome_trace(events.iter(), default_name);
         let parsed = parse_chrome_trace(&doc).unwrap();
 
         // Metadata: process name + all five plane labels.
@@ -608,29 +611,60 @@ mod tests {
     }
 
     #[test]
+    fn writer_and_chain_finder_ignore_input_order() {
+        // A worker publishes its batch after the connection plane already
+        // wrote the reply, and the flight ring may wrap anywhere: reversed
+        // and rotated inputs render the same chain.
+        let mut events = request_life(42, 7);
+        events.reverse();
+        events.rotate_left(3);
+        let parsed = parse_chrome_trace(&chrome_trace(events.iter(), default_name)).unwrap();
+        assert_eq!(find_complete_chain(&parsed), Some(42));
+        let flow = |ph: &str| parsed.iter().find(|e| e.cat == "flow" && e.ph == ph).unwrap().ts;
+        assert_eq!((flow("s"), flow("f")), (1.0, 14.2));
+    }
+
+    #[test]
     fn chain_finder_rejects_broken_chains() {
         // Missing REPLY: not a complete life.
         let mut events = request_life(42, 7);
         events.retain(|e| e.kind != kind::REPLY);
-        let parsed = parse_chrome_trace(&chrome_trace_linked(events.iter(), default_name)).unwrap();
+        let parsed = parse_chrome_trace(&chrome_trace(events.iter(), default_name)).unwrap();
         assert_eq!(find_complete_chain(&parsed), None);
 
         // Missing the engine node spans: the batch isn't attributable.
         let mut events = request_life(42, 7);
         events.retain(|e| e.kind != kind::NODE);
-        let parsed = parse_chrome_trace(&chrome_trace_linked(events.iter(), default_name)).unwrap();
+        let parsed = parse_chrome_trace(&chrome_trace(events.iter(), default_name)).unwrap();
         assert_eq!(find_complete_chain(&parsed), None);
     }
 
     #[test]
     fn cause_events_render_as_instants_on_the_event_track() {
         let e = span(kind::EVENT, cause::DEADLINE, 9, 5_000, 0);
-        let doc = chrome_trace_linked([e].iter(), default_name);
+        let doc = chrome_trace([e].iter(), default_name);
         let parsed = parse_chrome_trace(&doc).unwrap();
         let inst = parsed.iter().find(|e| e.cat == "event").unwrap();
         assert_eq!(inst.ph, "i");
         assert_eq!(inst.tid, 5);
         assert_eq!(inst.name, "event:deadline");
+    }
+
+    #[test]
+    fn names_are_json_escaped_and_round_trip() {
+        let e = span(kind::NODE, 0, NO_TRACE, 0, 1);
+        let doc = chrome_trace([e].iter(), |_| "a\"b\\c\nd\u{1}".to_string());
+        assert!(doc.contains("a\\\"b\\\\c\\nd\\u0001"), "{doc}");
+        let parsed = parse_chrome_trace(&doc).unwrap();
+        assert!(parsed.iter().any(|p| p.ph == "X" && p.name == "a\"b\\c\nd\u{1}"));
+    }
+
+    #[test]
+    fn empty_input_is_a_valid_document() {
+        let doc = chrome_trace([].iter(), default_name);
+        let parsed = parse_chrome_trace(&doc).unwrap();
+        assert!(parsed.iter().all(|e| e.ph == "M"));
+        assert_eq!(find_complete_chain(&parsed), None);
     }
 
     #[test]
@@ -658,7 +692,7 @@ mod tests {
         events.push(span(kind::QUEUE, 1, 101, 2_500, 5_000));
         events.push(span(kind::MEMBER, 3, 101, 7_500, 0));
         events.push(span(kind::REPLY, NO_NODE, 101, 14_600, 200));
-        let doc = chrome_trace_linked(events.iter(), default_name);
+        let doc = chrome_trace(events.iter(), default_name);
         let parsed = parse_chrome_trace(&doc).unwrap();
         // Both requests chain completely through the shared batch.
         let flows_100 =

@@ -5,15 +5,18 @@
 //! invariant perturbs exactly what it measures, so everything here is
 //! split along the same line the runtime already draws:
 //!
-//! * **Recording is allocation-free** — [`ring::Recorder`] is a
-//!   preallocated, thread-owned ring buffer of fixed-size span records
-//!   (drop-oldest on overflow, with accounting); [`metrics`] counters and
-//!   histograms are relaxed atomics bumped in place. Both are safe to
-//!   call from the executor's node loop and the serving worker's step.
+//! * **Recording is allocation-free** — [`ring::Recorder`] is the one
+//!   span ring: a preallocated buffer of fixed-size span records
+//!   (drop-oldest on overflow, with accounting), owned by one thread, or
+//!   shared behind a mutex as the server's [`flight::FlightRecorder`],
+//!   into which a worker publishes each batch's ring whole; [`metrics`]
+//!   counters and histograms are relaxed atomics bumped in place. All
+//!   are safe to call from the executor's node loop and the serving
+//!   worker's step.
 //! * **Rendering may allocate** — building an [`report::EngineReport`],
-//!   a chrome://tracing JSON dump ([`trace`]), or a Prometheus text
-//!   scrape ([`metrics::Registry::render_prometheus`]) happens on the
-//!   cold path (CLI, scrape request) and formats freely.
+//!   a chrome://tracing JSON dump ([`chrome::chrome_trace`]), or a
+//!   Prometheus text scrape ([`metrics::Registry::render_prometheus`])
+//!   happens on the cold path (CLI, scrape request) and formats freely.
 //!
 //! The crate is std-only and dependency-free, like the rest of the
 //! workspace; higher layers (`temco-runtime`, `temco-serve`, the CLI)
@@ -25,17 +28,13 @@ pub mod metrics;
 pub mod report;
 pub mod ring;
 pub mod slo;
-pub mod trace;
 
-pub use chrome::{
-    chrome_trace_linked, default_name, find_complete_chain, parse_chrome_trace, TraceEvent,
-};
+pub use chrome::{chrome_trace, default_name, find_complete_chain, parse_chrome_trace, TraceEvent};
 pub use flight::{batch_id_of, batch_trace, is_batch_trace, FlightRecorder, BATCH_TRACE_BASE};
 pub use metrics::{
     bucket_hi_us, bucket_lo_us, bucket_of_us, percentile_log2_us, Counter, Gauge, Log2Histogram,
     Registry, LOG2_BUCKETS,
 };
 pub use report::{EngineReport, NodeStat, OpRollup};
-pub use ring::{cause, kind, Event, Recorder, SpanStart, NO_NODE, NO_TRACE};
+pub use ring::{cause, kind, Event, Recorder, NO_NODE, NO_TRACE};
 pub use slo::{SloSpec, SloTracker, SloVerdict, BURN_WINDOWS};
-pub use trace::chrome_trace;

@@ -1,9 +1,10 @@
 //! Engine profiling reports: per-node kernel time and slab attribution.
 //!
 //! An [`EngineReport`] is plain data — the runtime layer builds one from
-//! a span [`crate::ring::Recorder`] plus its compiled graph and
-//! allocation plan (this crate knows nothing about graphs or plans), and
-//! the CLI renders it. Per-node memory numbers are *static* attribution
+//! the `RUN`/`NODE` spans an engine recorded into a
+//! [`crate::ring::Recorder`], the stack's one span ring, plus its compiled
+//! graph and allocation plan (this crate knows nothing about graphs or
+//! plans), and the CLI renders it. Per-node memory numbers are *static* attribution
 //! from the plan: a node's high-water is the furthest slab byte its
 //! kernel touches (output end, operand region ends, scratch end), so the
 //! maximum over nodes equals the planner's peak and can be cross-checked

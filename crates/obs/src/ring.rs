@@ -1,20 +1,25 @@
-//! The span recorder: a preallocated, thread-owned ring buffer.
+//! The span ring: the one preallocated buffer every span in the stack is
+//! recorded into.
 //!
-//! One [`Recorder`] belongs to one thread (an engine, a serving worker, a
-//! CLI loop) — there is no global registry and no locking, which is what
-//! keeps [`Recorder::record`] down to a couple of predictable branches and
-//! three word writes. A full ring **drops the oldest** record (the recent
-//! past is what profiling wants) and counts what it dropped, so a report
-//! can say "these numbers cover the last N spans, M fell off the back"
-//! instead of silently lying.
+//! A [`Recorder`] is owned by one thread (an engine loop, a serving worker,
+//! a CLI profile) — no locking, so [`Recorder::record`] is a couple of
+//! predictable branches and four word writes. The server's shared flight
+//! ring is the same type behind a mutex ([`crate::flight::FlightRecorder`]);
+//! a serving worker records a whole batch into a ring of its own, built on
+//! the flight ring's clock, and publishes it there under one lock.
+//!
+//! A full ring **drops the oldest** record (the recent past is what
+//! profiling wants) and counts what it dropped, so a report can say "these
+//! numbers cover the last N spans, M fell off the back" instead of
+//! silently lying: `len() + dropped() == total()` always.
 //!
 //! A record is four machine words — `kind`/`node` packed into one `u64`,
 //! a causal trace id, start tick, duration — timestamped off a monotonic
-//! [`Instant`] epoch
-//! taken at construction. `Instant::now` neither allocates nor syscalls on
-//! the platforms this repo targets (vDSO clock), so recording inside the
-//! zero-alloc executor loop is safe; the repo's counting-global-allocator
-//! tests assert exactly that with instrumentation enabled.
+//! [`Instant`] epoch taken at construction. `Instant::now` neither
+//! allocates nor syscalls on the platforms this repo targets (vDSO clock),
+//! so recording inside the zero-alloc executor loop is safe; the repo's
+//! counting-global-allocator tests assert exactly that with
+//! instrumentation enabled.
 
 use std::time::Instant;
 
@@ -135,113 +140,98 @@ pub struct Event {
     pub dur_ns: u64,
 }
 
-/// An opaque span start tick, handed back to [`Recorder::finish`].
-/// Deliberately not a `Duration`: it is one `u64` in a register.
-#[derive(Clone, Copy, Debug)]
-pub struct SpanStart(u64);
-
-/// Sentinel returned by [`Recorder::start`] while disabled; `finish`
-/// recognizes it and records nothing.
-const DISABLED: u64 = u64::MAX;
-
 /// A preallocated ring buffer of [`Event`]s. See the module docs for the
 /// threading and overflow model.
 pub struct Recorder {
-    epoch: Instant,
+    /// The clock every timestamp in this ring is measured from.
+    pub(crate) epoch: Instant,
     buf: Box<[Event]>,
     /// Next write slot.
     next: usize,
-    /// Events ever recorded (monotone; `total - len()` were dropped).
+    /// Retained events (≤ capacity); once full, the oldest is at `next`.
+    len: usize,
+    /// Events ever recorded (monotone until `clear`; `total - len` were
+    /// dropped).
     total: u64,
-    enabled: bool,
 }
 
 impl Recorder {
-    /// A recorder holding up to `capacity` spans (min 1), enabled.
-    /// This is the *only* allocation the recorder ever performs.
+    /// A recorder holding up to `capacity` spans (min 1), with its epoch
+    /// taken now. This is the *only* allocation the recorder ever
+    /// performs.
     pub fn with_capacity(capacity: usize) -> Recorder {
-        let capacity = capacity.max(1);
+        Recorder::on_clock(Instant::now(), capacity)
+    }
+
+    /// A recorder whose timestamps are measured from `epoch`.
+    pub(crate) fn on_clock(epoch: Instant, capacity: usize) -> Recorder {
         let zero = Event { kind: 0, node: 0, trace: NO_TRACE, start_ns: 0, dur_ns: 0 };
         Recorder {
-            epoch: Instant::now(),
-            buf: vec![zero; capacity].into_boxed_slice(),
+            epoch,
+            buf: vec![zero; capacity.max(1)].into_boxed_slice(),
             next: 0,
+            len: 0,
             total: 0,
-            enabled: true,
         }
     }
 
-    /// Whether spans are currently recorded.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Toggle recording. A disabled recorder's `start`/`finish` are a
-    /// flag check each — cheap enough to leave instrumentation compiled
-    /// in permanently.
-    pub fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
-    }
-
     /// Nanoseconds since the recorder's epoch.
+    #[inline]
     pub fn now_ns(&self) -> u64 {
         self.epoch.elapsed().as_nanos() as u64
     }
 
-    /// Begin a span: one flag check + one clock read.
+    /// Map an externally-captured [`Instant`] (e.g. a job's enqueue
+    /// time) onto this recorder's timeline. Instants before the epoch
+    /// clamp to 0.
     #[inline]
-    pub fn start(&self) -> SpanStart {
-        if !self.enabled {
-            return SpanStart(DISABLED);
-        }
-        SpanStart(self.now_ns())
-    }
-
-    /// End a span begun with [`Recorder::start`], attributing it to
-    /// `(kind, node)`. No-op for spans started while disabled.
-    #[inline]
-    pub fn finish(&mut self, start: SpanStart, kind: u32, node: u32) {
-        self.finish_traced(start, kind, node, NO_TRACE);
-    }
-
-    /// [`Recorder::finish`] with a causal trace id attached.
-    #[inline]
-    pub fn finish_traced(&mut self, start: SpanStart, kind: u32, node: u32, trace: u64) {
-        if start.0 == DISABLED {
-            return;
-        }
-        let end = self.now_ns();
-        self.record(Event {
-            kind,
-            node,
-            trace,
-            start_ns: start.0,
-            dur_ns: end.saturating_sub(start.0),
-        });
+    pub fn ns_of(&self, t: Instant) -> u64 {
+        t.checked_duration_since(self.epoch).map_or(0, |d| d.as_nanos() as u64)
     }
 
     /// Append one event, overwriting the oldest when full.
     #[inline]
     pub fn record(&mut self, e: Event) {
-        if !self.enabled {
-            return;
-        }
         self.buf[self.next] = e;
         self.next += 1;
         if self.next == self.buf.len() {
             self.next = 0;
         }
+        if self.len < self.buf.len() {
+            self.len += 1;
+        }
         self.total += 1;
+    }
+
+    /// Record a completed span from raw timestamps on this recorder's
+    /// clock ([`Recorder::now_ns`] / [`Recorder::ns_of`]).
+    #[inline]
+    pub fn span(&mut self, kind: u32, node: u32, trace: u64, start_ns: u64, end_ns: u64) {
+        self.record(Event { kind, node, trace, start_ns, dur_ns: end_ns.saturating_sub(start_ns) });
+    }
+
+    /// Record a cause-labeled instant ([`kind::EVENT`]) happening now.
+    #[inline]
+    pub fn event(&mut self, cause: u32, trace: u64) {
+        let now = self.now_ns();
+        self.record(Event { kind: kind::EVENT, node: cause, trace, start_ns: now, dur_ns: 0 });
+    }
+
+    /// Count `n` events as recorded and already dropped — spans another
+    /// ring overwrote before they could be copied here.
+    pub(crate) fn count_dropped(&mut self, n: u64) {
+        self.total += n;
     }
 
     /// Retained events (≤ capacity).
     pub fn len(&self) -> usize {
-        (self.total).min(self.buf.len() as u64) as usize
+        self.len
     }
 
-    /// Whether nothing has been recorded (or everything was cleared).
+    /// Whether nothing is retained (nothing recorded since the last
+    /// `clear`).
     pub fn is_empty(&self) -> bool {
-        self.total == 0
+        self.len == 0
     }
 
     /// Ring capacity in events.
@@ -249,43 +239,35 @@ impl Recorder {
         self.buf.len()
     }
 
+    /// Events ever recorded, retained or dropped.
+    pub fn total(&self) -> u64 {
+        self.total
+    }
+
     /// Events recorded but overwritten by newer ones (drop-oldest
     /// overflow accounting).
     pub fn dropped(&self) -> u64 {
-        self.total - self.len() as u64
+        self.total - self.len as u64
     }
 
     /// Forget all retained events and the drop count. The epoch is kept,
     /// so timestamps across a `clear` stay on one timeline.
     pub fn clear(&mut self) {
         self.next = 0;
+        self.len = 0;
         self.total = 0;
     }
 
     /// Retained events, oldest first.
     pub fn iter(&self) -> impl Iterator<Item = &Event> {
-        let len = self.len();
-        let (wrapped, fresh) = if self.total as usize > self.buf.len() {
+        let (wrapped, fresh) = if self.len == self.buf.len() {
             // Full ring: oldest starts at `next`.
             (&self.buf[self.next..], &self.buf[..self.next])
         } else {
-            (&self.buf[..len], &self.buf[..0])
+            (&self.buf[..self.len], &self.buf[..0])
         };
         wrapped.iter().chain(fresh.iter())
     }
-}
-
-/// Evaluate `$body` inside a span recorded as `($kind, $node)` on `$rec`.
-/// Expands to a start/finish pair around the expression — no closure, no
-/// guard object, nothing for the optimizer to chew on.
-#[macro_export]
-macro_rules! timed {
-    ($rec:expr, $kind:expr, $node:expr, $body:expr) => {{
-        let __span = $rec.start();
-        let __out = $body;
-        $rec.finish(__span, $kind, $node);
-        __out
-    }};
 }
 
 #[cfg(test)]
@@ -315,31 +297,11 @@ mod tests {
             r.record(ev(kind::NODE, i));
         }
         assert_eq!(r.len(), 4);
+        assert_eq!(r.total(), 10);
         assert_eq!(r.dropped(), 6);
         // The *newest* four survive, oldest first.
         let nodes: Vec<u32> = r.iter().map(|e| e.node).collect();
         assert_eq!(nodes, vec![6, 7, 8, 9]);
-    }
-
-    #[test]
-    fn spans_measure_nonzero_time_and_respect_enable() {
-        let mut r = Recorder::with_capacity(4);
-        let s = r.start();
-        std::hint::black_box((0..1000).sum::<u64>());
-        r.finish(s, kind::RUN, NO_NODE);
-        assert_eq!(r.len(), 1);
-        let e = *r.iter().next().unwrap();
-        assert_eq!(e.kind, kind::RUN);
-        assert_eq!(e.node, NO_NODE);
-
-        r.set_enabled(false);
-        let s = r.start();
-        r.finish(s, kind::RUN, 0);
-        r.record(ev(kind::NODE, 1));
-        assert_eq!(r.len(), 1, "disabled recorder must not record");
-        r.set_enabled(true);
-        r.record(ev(kind::NODE, 2));
-        assert_eq!(r.len(), 2);
     }
 
     #[test]
@@ -357,15 +319,6 @@ mod tests {
     }
 
     #[test]
-    fn timed_macro_records_one_span() {
-        let mut r = Recorder::with_capacity(4);
-        let x = timed!(r, kind::NODE, 7, 40 + 2);
-        assert_eq!(x, 42);
-        let e = *r.iter().next().unwrap();
-        assert_eq!((e.kind, e.node), (kind::NODE, 7));
-    }
-
-    #[test]
     fn kind_labels_are_stable() {
         assert_eq!(kind::label(kind::RUN), "run");
         assert_eq!(kind::label(kind::BATCH_RUN), "batch_run");
@@ -379,15 +332,27 @@ mod tests {
     }
 
     #[test]
-    fn finish_traced_attaches_the_trace_id() {
+    fn span_and_event_carry_their_trace_and_timing() {
         let mut r = Recorder::with_capacity(4);
-        let s = r.start();
-        r.finish_traced(s, kind::QUEUE, 3, 42);
-        let e = *r.iter().next().unwrap();
-        assert_eq!((e.kind, e.node, e.trace), (kind::QUEUE, 3, 42));
-        // The untraced path records NO_TRACE.
-        let s = r.start();
-        r.finish(s, kind::RUN, NO_NODE);
-        assert_eq!(r.iter().nth(1).unwrap().trace, NO_TRACE);
+        r.span(kind::QUEUE, 3, 42, 1_000, 4_000);
+        r.span(kind::RUN, NO_NODE, NO_TRACE, 5_000, 4_000);
+        r.event(cause::DEADLINE, 7);
+        let got: Vec<Event> = r.iter().copied().collect();
+        assert_eq!(
+            got[0],
+            Event { kind: kind::QUEUE, node: 3, trace: 42, start_ns: 1_000, dur_ns: 3_000 }
+        );
+        assert_eq!(got[1].dur_ns, 0, "an end before the start clamps to zero");
+        assert_eq!((got[2].kind, got[2].node, got[2].trace), (kind::EVENT, cause::DEADLINE, 7));
+        assert_eq!(got[2].dur_ns, 0);
+    }
+
+    #[test]
+    fn ns_of_maps_external_instants_and_clamps_before_epoch() {
+        let before = Instant::now();
+        let r = Recorder::with_capacity(4);
+        assert_eq!(r.ns_of(before), 0, "pre-epoch instants clamp to 0");
+        let ns = r.ns_of(Instant::now());
+        assert!(ns <= r.now_ns());
     }
 }

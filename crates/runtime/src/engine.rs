@@ -17,11 +17,18 @@
 //!   scratch arena. The integration tests assert this with a counting
 //!   global allocator across the whole model zoo, and again with several
 //!   engines running concurrently over one `CompiledGraph`.
+//!
+//! An engine runs one of two ways: [`Engine::run`], or
+//! [`Engine::run_recorded`], which also writes a `RUN` span and one `NODE`
+//! span per kernel into a caller-owned [`Recorder`]. Profiling reads that
+//! ring through [`crate::profile`]; a serving worker runs every batch this
+//! way into its own ring and publishes the ring to the server's flight
+//! recorder.
 
 use std::sync::Arc;
 
 use temco_ir::{liveness, Graph, Op, PoolKind, ValueId};
-use temco_obs::{kind, Event, FlightRecorder, Recorder, NO_NODE, NO_TRACE};
+use temco_obs::{kind, Recorder, NO_NODE, NO_TRACE};
 use temco_tensor::{
     add_n_assign_iter, add_n_into_iter, affine_inplace, affine_into, avg_pool2d_inplace,
     avg_pool2d_into, concat_channels_into_iter, conv2d_into, conv_transpose2d_into,
@@ -161,54 +168,47 @@ impl Engine {
     /// only on the error path), and every kernel runs on slab views with
     /// planner-reserved scratch.
     pub fn run(&mut self, inputs: &[Tensor]) -> Result<&[Tensor], ExecError> {
-        self.run_impl(inputs, Sink::None)
+        self.run_impl(inputs, None)
     }
 
     /// [`Engine::run`] with span recording: one `RUN` span for the whole
-    /// inference plus one `NODE` span per scheduled kernel, written into
-    /// the caller's preallocated [`Recorder`]. Still allocation-free on
-    /// success — recording is two `Instant` reads and three word writes
-    /// per node into the ring (the zero-alloc integration test covers this
-    /// path too). Feed the recorder to [`crate::profile::engine_report`]
-    /// or [`crate::profile::engine_trace_json`] afterwards.
+    /// inference plus one `NODE` span per scheduled kernel, untraced,
+    /// written into the caller's preallocated [`Recorder`]. Still
+    /// allocation-free on success — recording is two `Instant` reads and
+    /// four word writes per node into the ring (the zero-alloc integration
+    /// tests cover this path, and the serving worker runs every batch
+    /// through it into the ring it publishes to the flight recorder). Feed
+    /// the recorder to [`crate::profile::engine_report`] or
+    /// [`crate::profile::engine_trace_json`] afterwards.
     pub fn run_recorded(
         &mut self,
         inputs: &[Tensor],
         rec: &mut Recorder,
     ) -> Result<&[Tensor], ExecError> {
-        self.run_impl(inputs, Sink::Rec(rec))
+        self.run_impl(inputs, Some(rec))
     }
 
-    /// [`Engine::run`] with spans written into a shared
-    /// [`FlightRecorder`] and tagged with `trace` — the serving layer
-    /// passes its batch trace so every engine node span is attributable
-    /// to the batch (and through it, the member requests) that ran it.
-    /// Same allocation discipline as [`Engine::run_recorded`]; the
-    /// flight ring's mutex does not allocate.
-    pub fn run_flight(
+    fn run_impl(
         &mut self,
         inputs: &[Tensor],
-        flight: &FlightRecorder,
-        trace: u64,
+        mut rec: Option<&mut Recorder>,
     ) -> Result<&[Tensor], ExecError> {
-        self.run_impl(inputs, Sink::Flight(flight, trace))
-    }
-
-    fn run_impl(&mut self, inputs: &[Tensor], mut rec: Sink<'_>) -> Result<&[Tensor], ExecError> {
         let g = &self.shared.g;
         check_inputs(g, inputs)?;
 
         let plan = &self.shared.plan;
         let slab_ptr = self.slab.as_mut_ptr();
-        let run_span = rec.now();
+        let run_start = rec.as_ref().map_or(0, |r| r.now_ns());
         for i in 0..g.nodes.len() {
-            let node_span = rec.now();
+            let node_start = rec.as_ref().map_or(0, |r| r.now_ns());
             // SAFETY: the slab outlives the loop and nothing else views it;
             // the plan was validated in `CompiledGraph::with_alias`, and the
             // dispatch honors its aliasing discipline (single `&mut` per
             // in-place region, memmove for aliased concat copies).
             unsafe { run_node_on_slab(g, plan, i, slab_ptr, inputs) };
-            rec.emit(kind::NODE, i as u32, node_span);
+            if let Some(r) = rec.as_deref_mut() {
+                r.span(kind::NODE, i as u32, NO_TRACE, node_start, r.now_ns());
+            }
         }
 
         for (slot, v) in self.outputs.iter_mut().zip(&g.outputs) {
@@ -216,7 +216,9 @@ impl Engine {
             let len = g.value_numel(*v);
             slot.data_mut().copy_from_slice(&self.slab[off..off + len]);
         }
-        rec.emit(kind::RUN, NO_NODE, run_span);
+        if let Some(r) = rec {
+            r.span(kind::RUN, NO_NODE, NO_TRACE, run_start, r.now_ns());
+        }
         Ok(&self.outputs)
     }
 }
@@ -491,50 +493,6 @@ fn eval_into<'a>(
     }
 }
 
-/// Where `run_impl` sends its spans: nowhere, a thread-owned
-/// [`Recorder`], or a shared [`FlightRecorder`] with a trace tag. One
-/// enum rather than a trait object so the no-op arm stays a branch, not
-/// a virtual call, on the hot path.
-enum Sink<'a> {
-    None,
-    Rec(&'a mut Recorder),
-    Flight(&'a FlightRecorder, u64),
-}
-
-impl Sink<'_> {
-    /// Current time on the sink's clock (0 for the no-op sink).
-    #[inline]
-    fn now(&self) -> u64 {
-        match self {
-            Sink::None => 0,
-            Sink::Rec(r) => r.now_ns(),
-            Sink::Flight(f, _) => f.now_ns(),
-        }
-    }
-
-    /// Record a span begun at `start` (a value from [`Sink::now`]).
-    #[inline]
-    fn emit(&mut self, kind: u32, node: u32, start: u64) {
-        match self {
-            Sink::None => {}
-            Sink::Rec(r) => {
-                let end = r.now_ns();
-                r.record(Event {
-                    kind,
-                    node,
-                    trace: NO_TRACE,
-                    start_ns: start,
-                    dur_ns: end.saturating_sub(start),
-                });
-            }
-            Sink::Flight(f, trace) => {
-                let end = f.now_ns();
-                f.span(kind, node, *trace, start, end);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -578,21 +536,5 @@ mod tests {
         // Weights live once, in the shared graph; the per-worker state is
         // only the slab.
         assert!(a.graph().weights.shares_storage_with(&compiled.graph().weights));
-    }
-
-    #[test]
-    fn run_flight_tags_every_span_with_the_owning_trace() {
-        let mut engine = Engine::new(small_cnn()).unwrap();
-        let flight = FlightRecorder::with_capacity(64);
-        let trace = temco_obs::batch_trace(9);
-        let x = Tensor::randn(&[2, 3, 8, 8], 21);
-        let want = engine.run(std::slice::from_ref(&x)).unwrap()[0].clone();
-        let got = engine.run_flight(std::slice::from_ref(&x), &flight, trace).unwrap();
-        assert!(want.all_close(&got[0], 0.0), "instrumented run must not change results");
-        let events = flight.snapshot();
-        let nodes = events.iter().filter(|e| e.kind == kind::NODE).count();
-        assert_eq!(nodes, engine.graph().nodes.len());
-        assert_eq!(events.iter().filter(|e| e.kind == kind::RUN).count(), 1);
-        assert!(events.iter().all(|e| e.trace == trace));
     }
 }

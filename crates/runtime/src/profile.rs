@@ -1,11 +1,12 @@
 //! Turning recorded spans into reports: the cold half of profiling.
 //!
 //! [`crate::engine::Engine::run_recorded`] fills a preallocated
-//! [`Recorder`] with `RUN`/`NODE` spans; this module joins those spans
-//! with the graph and allocation plan to produce a
-//! [`temco_obs::EngineReport`] (per-node kernel time, slab attribution)
-//! or a chrome://tracing JSON document. Everything here allocates freely
-//! — it runs after the measured inferences, never during them.
+//! [`Recorder`] — the stack's one span ring — with `RUN`/`NODE` spans;
+//! this module joins those spans with the graph and allocation plan to
+//! produce a [`temco_obs::EngineReport`] (per-node kernel time, slab
+//! attribution) or a chrome://tracing document through the one writer,
+//! [`temco_obs::chrome_trace`]. Everything here allocates freely — it
+//! runs after the measured inferences, never during them.
 //!
 //! Memory attribution is *static*: a node's slab high-water is the
 //! furthest slab byte its kernel touches (output end, operand ends,
@@ -15,7 +16,7 @@
 //! independent invariant checker in `temco-check` verifies.
 
 use temco_ir::{Graph, Node, Op};
-use temco_obs::{chrome_trace, kind, EngineReport, NodeStat, Recorder};
+use temco_obs::{chrome_trace, default_name, kind, EngineReport, NodeStat, Recorder};
 
 use crate::alloc::AllocationPlan;
 use crate::engine::CompiledGraph;
@@ -149,12 +150,10 @@ pub fn engine_report(compiled: &CompiledGraph, rec: &Recorder) -> EngineReport {
 pub fn engine_trace_json(compiled: &CompiledGraph, rec: &Recorder) -> String {
     let g = compiled.graph();
     chrome_trace(rec.iter(), |e| match e.kind {
-        kind::NODE => g
-            .nodes
-            .get(e.node as usize)
-            .map_or_else(|| format!("node{}", e.node), |n| n.name.clone()),
-        kind::RUN => "run".to_string(),
-        k => kind::label(k).to_string(),
+        kind::NODE => {
+            g.nodes.get(e.node as usize).map_or_else(|| default_name(e), |n| n.name.clone())
+        }
+        _ => default_name(e),
     })
 }
 
@@ -217,10 +216,12 @@ mod tests {
         let mut rec = Recorder::with_capacity(64);
         engine.run_recorded(std::slice::from_ref(&x), &mut rec).unwrap();
         let json = engine_trace_json(engine.compiled(), &rec);
-        assert!(json.starts_with("{\"traceEvents\":["));
-        assert!(json.contains("\"name\":\"c1\""));
-        assert!(json.contains("\"name\":\"run\""));
-        assert!(json.contains("\"cat\":\"node\""));
+        let events = temco_obs::parse_chrome_trace(&json).unwrap();
+        let spans: Vec<_> = events.iter().filter(|e| e.ph == "X").collect();
+        assert_eq!(spans.len(), engine.graph().nodes.len() + 1);
+        assert!(spans.iter().any(|e| e.cat == "node" && e.name == "c1"));
+        assert!(spans.iter().any(|e| e.cat == "run" && e.name == "run"));
+        assert!(events.iter().any(|e| e.ph == "M" && e.name == "process_name"));
     }
 
     #[test]

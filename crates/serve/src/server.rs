@@ -25,7 +25,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use temco_ir::Graph;
-use temco_obs::{cause, chrome_trace_linked, kind, FlightRecorder, SloSpec, NO_TRACE};
+use temco_obs::{cause, chrome_trace, kind, FlightRecorder, SloSpec, NO_TRACE};
 use temco_runtime::CompiledGraph;
 use temco_tensor::Tensor;
 
@@ -299,7 +299,7 @@ impl Server {
                             worker_core.flight.post_mortem(&format!("worker {i} panicked"))
                         );
                         if let Some(path) = worker_core.panic_dump.read().unwrap().clone() {
-                            let json = chrome_trace_linked(
+                            let json = chrome_trace(
                                 worker_core.flight.snapshot().iter(),
                                 temco_obs::default_name,
                             );
@@ -449,7 +449,7 @@ impl Server {
     pub fn flight_dump_json(&self) -> String {
         let core = &self.inner.core;
         let g = core.plans[0].graph();
-        chrome_trace_linked(core.flight.snapshot().iter(), |e| match e.kind {
+        chrome_trace(core.flight.snapshot().iter(), |e| match e.kind {
             kind::NODE => g
                 .nodes
                 .get(e.node as usize)
@@ -475,13 +475,13 @@ impl Server {
         }
         let _ = writeln!(out, "  open connections     {}", st.open_conns.get() as u64);
         let _ = writeln!(out, "  slab bytes/worker    {}", self.inner.slab_bytes_per_worker);
+        // One read, so the page's `len + dropped == total` holds even while
+        // workers publish.
+        let (len, cap, total, dropped) =
+            core.flight.read(|r| (r.len(), r.capacity(), r.total(), r.dropped()));
         let _ = writeln!(
             out,
-            "  flight recorder      {} / {} events ({} recorded, {} dropped)",
-            core.flight.len(),
-            core.flight.capacity(),
-            core.flight.total(),
-            core.flight.dropped()
+            "  flight recorder      {len} / {cap} events ({total} recorded, {dropped} dropped)"
         );
         let _ = writeln!(out, "  slo                  {}", spec.render());
         let spec_secs = spec.window.as_secs();

@@ -22,11 +22,21 @@
 //!
 //! Expired deadlines are failed *before* execution; a request that cannot
 //! make its deadline costs no FLOPs.
+//!
+//! Every span of a batch — GATHER, the members' QUEUE / MEMBER / DEADLINE
+//! records, STAGE, the engine's RUN and NODE spans, BATCH_RUN, SCATTER —
+//! goes into the worker's own preallocated [`Recorder`], built on the
+//! flight recorder's clock and sized for the largest batch. Before the
+//! batch is announced done, the worker publishes that ring to the flight
+//! recorder whole: one flight-lock acquisition per batch, and the batch's
+//! untraced spans are tagged with its batch trace on the way in. Dropping
+//! a worker publishes too, so a kernel panic still leaves the partial
+//! batch in the flight ring for the post-mortem.
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use temco_obs::{batch_id_of, cause, kind, Recorder};
+use temco_obs::{batch_id_of, cause, kind, Recorder, NO_TRACE};
 use temco_runtime::Engine;
 use temco_tensor::Tensor;
 
@@ -77,9 +87,11 @@ pub struct Worker {
     /// Swap space for the deadline shed (keeps live jobs while expired
     /// ones are consumed by value), capacity `max_batch`.
     keep: Vec<Job>,
-    /// Optional span recorder ([`attach_recorder`](Worker::attach_recorder)).
-    /// Preallocated; recording in the hot loop stays allocation-free.
-    rec: Option<Recorder>,
+    /// The current batch's spans, on the flight recorder's clock; sized so
+    /// one batch never wraps it, and emptied by every publish.
+    ring: Recorder,
+    /// Trace id of the batch whose spans `ring` holds.
+    batch_trace: u64,
 }
 
 impl Worker {
@@ -88,22 +100,15 @@ impl Worker {
             core.plans.iter().map(|p| Engine::from_compiled(p.clone())).collect();
         let staging =
             engines.iter().map(|e| Tensor::zeros(e.graph().shape(e.graph().inputs[0]))).collect();
-        let batch = Vec::with_capacity(core.cfg.max_batch);
-        let keep = Vec::with_capacity(core.cfg.max_batch);
-        Worker { core, shard, engines, staging, batch, keep, rec: None }
-    }
-
-    /// Attach a preallocated span recorder. Subsequent steps record
-    /// `GATHER`/`STAGE`/`BATCH_RUN`/`SCATTER` spans into its ring without
-    /// allocating.
-    pub fn attach_recorder(&mut self, rec: Recorder) {
-        self.rec = Some(rec);
-    }
-
-    /// Detach the recorder (to read its spans) — the inverse of
-    /// [`attach_recorder`](Worker::attach_recorder).
-    pub fn take_recorder(&mut self) -> Option<Recorder> {
-        self.rec.take()
+        let max_batch = core.cfg.max_batch;
+        let batch = Vec::with_capacity(max_batch);
+        let keep = Vec::with_capacity(max_batch);
+        // One batch: a NODE span per node plus RUN, up to three records
+        // per member (QUEUE, MEMBER, DEADLINE), and GATHER, STAGE,
+        // BATCH_RUN, SCATTER.
+        let nodes = engines.iter().map(|e| e.graph().nodes.len()).max().unwrap_or(0);
+        let ring = core.flight.recorder(nodes + 1 + 3 * max_batch + 4);
+        Worker { core, shard, engines, staging, batch, keep, ring, batch_trace: NO_TRACE }
     }
 
     /// Total slab bytes this worker holds across its bucket engines.
@@ -140,7 +145,7 @@ impl Worker {
     }
 
     fn gather_and_run(&mut self, first: Job) -> StepOutcome {
-        let gather_span = self.rec.as_ref().map(|r| r.start());
+        let gather_start = self.ring.now_ns();
         self.batch.clear();
         self.batch.push(first);
         let window_end = Instant::now() + self.core.cfg.max_delay;
@@ -150,17 +155,25 @@ impl Worker {
                 None => break,
             }
         }
-        if let (Some(r), Some(s)) = (self.rec.as_mut(), gather_span) {
-            r.finish(s, kind::GATHER, self.batch.len() as u32);
-        }
+        let ring = &mut self.ring;
+        ring.span(kind::GATHER, self.batch.len() as u32, NO_TRACE, gather_start, ring.now_ns());
+        // Every span this batch emits shares one batch trace id; member
+        // requests fan in via `MEMBER` markers keyed on the batch id.
+        self.batch_trace = self.core.next_batch_trace();
         let outcome = self.execute_batch();
+        self.publish();
         self.core.notify_batch_done();
         outcome
     }
 
+    /// Hand the batch's spans to the flight recorder under one lock.
+    fn publish(&mut self) {
+        self.core.flight.publish(&mut self.ring, self.batch_trace);
+    }
+
     fn execute_batch(&mut self) -> StepOutcome {
         let stats = &self.core.stats;
-        let flight = &self.core.flight;
+        let ring = &mut self.ring;
         // Shed expired requests without executing them, handing each its
         // input tensor back. Drain through the preallocated swap buffer so
         // live jobs survive by move, not clone.
@@ -168,7 +181,7 @@ impl Worker {
         self.keep.clear();
         for job in self.batch.drain(..) {
             if job.deadline.is_some_and(|d| d <= now) {
-                flight.event(cause::DEADLINE, job.trace);
+                ring.event(cause::DEADLINE, job.trace);
                 stats.slo.observe_error();
                 job.slot.complete_err_returning(ServeError::DeadlineExceeded, job.input);
                 stats.deadline_expired.inc();
@@ -189,27 +202,20 @@ impl Worker {
             .position(|&b| b >= n)
             .expect("max_batch is always the last bucket");
         let bucket = self.core.buckets[bi] as u32;
-        // Every span this batch emits shares one batch trace id; member
-        // requests fan in via `MEMBER` markers keyed on the batch id.
-        let bt = self.core.next_batch_trace();
-        let batch_id = batch_id_of(bt);
+        let batch_id = batch_id_of(self.batch_trace);
         // Everything queued before this instant is queue wait; everything
         // after is service (stage + run + scatter).
         let exec_start = Instant::now();
-        let exec_ns = flight.ns_of(exec_start);
+        let exec_ns = ring.ns_of(exec_start);
         for job in &self.batch {
             stats.queue_wait.record(exec_start.saturating_duration_since(job.enqueued));
-            flight.span(
-                kind::QUEUE,
-                self.shard as u32,
-                job.trace,
-                flight.ns_of(job.enqueued),
-                exec_ns,
-            );
-            flight.span(kind::MEMBER, batch_id, job.trace, exec_ns, exec_ns);
+            ring.span(kind::QUEUE, self.shard as u32, job.trace, ring.ns_of(job.enqueued), exec_ns);
+            ring.span(kind::MEMBER, batch_id, job.trace, exec_ns, exec_ns);
         }
+        // The batch's own spans are recorded untraced; `publish` tags them
+        // (and the engine's RUN/NODE spans) with the batch trace, so a
+        // request is traceable down to the node level.
         let sample_len = self.core.sample_numel;
-        let stage_span = self.rec.as_ref().map(|r| r.start());
         {
             let staged = self.staging[bi].data_mut();
             for (i, job) in self.batch.iter().enumerate() {
@@ -217,33 +223,20 @@ impl Worker {
             }
             staged[n * sample_len..].fill(0.0);
         }
-        let stage_end_ns = flight.now_ns();
-        flight.span(kind::STAGE, bucket, bt, exec_ns, stage_end_ns);
-        if let (Some(r), Some(s)) = (self.rec.as_mut(), stage_span) {
-            r.finish(s, kind::STAGE, bucket);
-        }
-        let run_span = self.rec.as_ref().map(|r| r.start());
-        // `run_flight` tags the engine's RUN/NODE spans with the owning
-        // batch trace, so a request is traceable down to the node level.
+        let stage_end_ns = ring.now_ns();
+        ring.span(kind::STAGE, bucket, NO_TRACE, exec_ns, stage_end_ns);
         let outs = self.engines[bi]
-            .run_flight(std::slice::from_ref(&self.staging[bi]), flight, bt)
+            .run_recorded(std::slice::from_ref(&self.staging[bi]), ring)
             .expect("bucket plan validated at server construction");
-        let run_end_ns = flight.now_ns();
-        flight.span(kind::BATCH_RUN, bucket, bt, stage_end_ns, run_end_ns);
-        if let (Some(r), Some(s)) = (self.rec.as_mut(), run_span) {
-            r.finish(s, kind::BATCH_RUN, bucket);
-        }
-        let scatter_span = self.rec.as_ref().map(|r| r.start());
+        let run_end_ns = ring.now_ns();
+        ring.span(kind::BATCH_RUN, bucket, NO_TRACE, stage_end_ns, run_end_ns);
         let out = outs[0].data();
         let out_len = self.core.output_numel;
         for (i, job) in self.batch.drain(..).enumerate() {
             job.slot.complete_ok_returning(&out[i * out_len..(i + 1) * out_len], job.input);
             stats.record_latency(job.enqueued.elapsed());
         }
-        flight.span(kind::SCATTER, bucket, bt, run_end_ns, flight.now_ns());
-        if let (Some(r), Some(s)) = (self.rec.as_mut(), scatter_span) {
-            r.finish(s, kind::SCATTER, bucket);
-        }
+        ring.span(kind::SCATTER, bucket, NO_TRACE, run_end_ns, ring.now_ns());
         let service = exec_start.elapsed();
         for _ in 0..n {
             stats.service.record(service);
@@ -253,5 +246,44 @@ impl Worker {
         stats.worker_busy_us[self.shard].add(service.as_micros() as u64);
         stats.worker_batches[self.shard].inc();
         StepOutcome::Ran(n)
+    }
+}
+
+impl Drop for Worker {
+    /// A panic unwinding out of a kernel drops the worker mid-batch:
+    /// publish what the batch recorded so far, so the flight ring holds it
+    /// before the server records the PANIC event and prints the
+    /// post-mortem.
+    fn drop(&mut self) {
+        self.publish();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{ServeConfig, Server};
+    use temco_ir::Graph;
+
+    #[test]
+    fn a_panic_mid_batch_still_publishes_the_partial_batch() {
+        let mut g = Graph::new();
+        let x = g.input(&[1, 4], "x");
+        let y = g.relu(x, "r");
+        g.mark_output(y);
+        g.infer_shapes();
+        let server = Server::new(g, ServeConfig { workers: 0, ..ServeConfig::default() }).unwrap();
+        let mut worker = server.manual_worker();
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+            worker.batch_trace = worker.core.next_batch_trace();
+            let t = worker.ring.now_ns();
+            worker.ring.span(kind::STAGE, 1, NO_TRACE, t, t + 1);
+            panic!("a kernel failed mid-batch");
+        }));
+        assert!(unwound.is_err());
+        let spans = server.flight().snapshot();
+        assert_eq!(spans.len(), 1, "the dropped worker published its ring");
+        assert_eq!(spans[0].kind, kind::STAGE);
+        assert!(temco_obs::is_batch_trace(spans[0].trace));
     }
 }

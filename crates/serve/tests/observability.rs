@@ -86,6 +86,18 @@ fn dump_opcode_yields_a_request_traceable_end_to_end() {
     handle.join().unwrap().unwrap();
 }
 
+/// `[len, capacity, total, dropped]` off a STATUS page's flight-recorder
+/// line.
+fn flight_accounting(status: &str) -> [u64; 4] {
+    let line = status
+        .lines()
+        .find(|l| l.trim_start().starts_with("flight recorder"))
+        .unwrap_or_else(|| panic!("recorder accounting missing from status:\n{status}"));
+    let nums: Vec<u64> =
+        line.split(|c: char| !c.is_ascii_digit()).filter_map(|w| w.parse().ok()).collect();
+    nums.try_into().unwrap_or_else(|_| panic!("malformed recorder line: {line}"))
+}
+
 #[test]
 fn tiny_flight_ring_wraps_with_exact_drop_accounting_under_concurrent_readers() {
     // A 32-event ring under hundreds of requests must wrap constantly.
@@ -107,7 +119,7 @@ fn tiny_flight_ring_wraps_with_exact_drop_accounting_under_concurrent_readers() 
         let mut reads = 0usize;
         while !stop2.load(Ordering::Relaxed) {
             let snap = reader_handle.flight().snapshot();
-            assert!(snap.len() <= reader_handle.flight().capacity());
+            assert!(snap.len() <= 32);
             for e in &snap {
                 assert!(e.kind <= temco_obs::kind::EVENT, "corrupt span kind {}", e.kind);
             }
@@ -121,14 +133,36 @@ fn tiny_flight_ring_wraps_with_exact_drop_accounting_under_concurrent_readers() 
     });
 
     let mut client = Client::connect(&addr).unwrap();
-    let sample = Tensor::rand_uniform(&[1, 6], 7, -1.0, 1.0);
+    let sample = Arc::new(Tensor::rand_uniform(&[1, 6], 7, -1.0, 1.0));
     for _ in 0..200 {
         assert_eq!(client.infer(sample.data(), 0).unwrap().len(), 3);
     }
 
-    // STATUS reports the drop counter while the ring is churning.
-    let status = client.status_text().unwrap();
-    assert!(status.contains("dropped)"), "drop accounting missing from status:\n{status}");
+    // STATUS reports the drop accounting while the ring is churning, and
+    // every page agrees with itself: two more clients load the server
+    // while this one scrapes.
+    let loaders: Vec<_> = (0..2)
+        .map(|_| {
+            let (addr, sample) = (addr.clone(), sample.clone());
+            std::thread::spawn(move || {
+                let mut c = Client::connect(&addr).unwrap();
+                for _ in 0..200 {
+                    assert_eq!(c.infer(sample.data(), 0).unwrap().len(), 3);
+                }
+            })
+        })
+        .collect();
+    let mut pages = 0;
+    while pages < 8 || !loaders.iter().all(|h| h.is_finished()) {
+        let status = client.status_text().unwrap();
+        let [len, cap, total, dropped] = flight_accounting(&status);
+        assert_eq!(len + dropped, total, "STATUS disagrees with itself:\n{status}");
+        assert!(len <= cap, "{status}");
+        pages += 1;
+    }
+    for h in loaders {
+        h.join().unwrap();
+    }
 
     // Drain with the reader still attached: shutdown fan-out, worker
     // joins, and the reply pump all keep recording into the ring.
@@ -139,11 +173,12 @@ fn tiny_flight_ring_wraps_with_exact_drop_accounting_under_concurrent_readers() 
     assert!(reads > 0, "reader thread never observed the ring");
 
     // At rest: drop-oldest accounting balances to the event.
-    let flight = server.flight();
-    assert_eq!(flight.len(), flight.capacity(), "ring should be full after 200 requests");
-    assert!(flight.dropped() > 0, "a 32-slot ring must have wrapped");
-    assert_eq!(flight.len() as u64 + flight.dropped(), flight.total());
-    assert_eq!(server.stats().spans_dropped, flight.dropped());
+    let (len, cap, total, dropped) =
+        server.flight().read(|r| (r.len(), r.capacity(), r.total(), r.dropped()));
+    assert_eq!(len, cap, "ring should be full after 600 requests");
+    assert!(dropped > 0, "a 32-slot ring must have wrapped");
+    assert_eq!(len as u64 + dropped, total);
+    assert_eq!(server.stats().spans_dropped, dropped);
 }
 
 /// One parsed Prometheus sample: metric name, label set (sans `le`),
