@@ -7,7 +7,7 @@ use temco_ir::{ActKind, PoolKind};
 use temco_runtime::{fused_forward, FusedSchedule};
 use temco_tensor::{conv2d, max_pool2d, Conv2dParams, Tensor};
 
-/// The default schedule: the row-strip body.
+/// The default schedule: row-strip job tiles.
 const STRIP: FusedSchedule = FusedSchedule::DEFAULT;
 
 fn unfused(x: &Tensor, lw: &Tensor, fw: &Tensor, pool: Option<(PoolKind, usize, usize)>) -> Tensor {
@@ -59,7 +59,7 @@ fn bench_fused(c: &mut Criterion) {
 
     // Ablation A2: the paper's Listing-1 tile size T. Small tiles repeat
     // the lconv reduction per tile; large tiles amortize it at larger
-    // scratch. The strip kernel is the T→row limit.
+    // scratch. The row strip (`tile == 0`) is the T→row limit.
     let mut group = c.benchmark_group("tile_size");
     let (c_full, hw, rank) = (128usize, 56usize, 13usize);
     let x = Tensor::randn(&[4, rank, hw, hw], 7);

@@ -400,8 +400,14 @@ fn main() -> ExitCode {
     match cli.command.as_str() {
         "info" => {
             let path = std::env::args().nth(2).unwrap_or_else(|| usage());
-            let mut f = std::fs::File::open(&path).expect("open model file");
-            let g = temco_ir::load_graph(&mut f).expect("parse .temco model");
+            let loaded = std::fs::File::open(&path).and_then(|mut f| temco_ir::load_graph(&mut f));
+            let g = match loaded {
+                Ok(g) => g,
+                Err(e) => {
+                    eprintln!("cannot load {path}: {e}");
+                    return ExitCode::FAILURE;
+                }
+            };
             let plan = plan_memory(&g);
             println!("file:     {path}");
             println!("nodes:    {}", g.nodes.len());
@@ -824,6 +830,9 @@ fn main() -> ExitCode {
                 ..Default::default()
             });
             let (opt, _) = compiler.compile(&graph, cli.level);
+            // No inference reads the dense source model; do not hold its
+            // weights for the life of the server.
+            drop(graph);
             let slo = match cli.slo.as_deref().map(temco_obs::SloSpec::parse).transpose() {
                 Ok(s) => s.unwrap_or_default(),
                 Err(e) => arg_error(format_args!("bad --slo spec: {e}")),

@@ -59,17 +59,14 @@ pub fn node_flops(g: &Graph, i: usize) -> u64 {
         Op::Fused(spec) => {
             // lconv at pre-pool resolution, activation, optional pool, fconv
             // at post-pool resolution — matching the work in Listing 1.
-            let x = g.shape(node.inputs[0]);
-            let (n, c_red_in, h, w) = (x[0] as u64, x[1] as u64, x[2] as u64, x[3] as u64);
-            let c_full = g.weight(spec.lconv_w).dim(0) as u64;
-            let lconv = 2 * n * c_full * h * w * c_red_in;
+            let geo = spec.geometry(g, g.shape(node.inputs[0]));
+            let [n, c_in, c_full, c_out, h, w, oh, ow, pk] =
+                [geo.n, geo.c_in, geo.c_full, geo.c_out, geo.h, geo.w, geo.oh, geo.ow, geo.pk]
+                    .map(|d| d as u64);
+            let lconv = 2 * n * c_full * h * w * c_in;
             let act = n * c_full * h * w;
-            let (oh, ow) = (out_shape[2] as u64, out_shape[3] as u64);
-            let pool = spec.pool.map_or(0, |(_, k, _)| n * c_full * oh * ow * (k * k) as u64);
-            let fconv = spec
-                .fconv
-                .as_ref()
-                .map_or(0, |fc| 2 * n * g.weight(fc.weight).dim(0) as u64 * oh * ow * c_full);
+            let pool = if spec.pool.is_some() { n * c_full * oh * ow * pk * pk } else { 0 };
+            let fconv = if geo.fconv { 2 * n * c_out * oh * ow * c_full } else { 0 };
             lconv + act + pool + fconv
         }
     }

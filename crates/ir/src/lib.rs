@@ -30,7 +30,7 @@ pub mod verify;
 pub use cost::{graph_flops, node_flops};
 pub use graph::{Graph, Node, ValueId, ValueInfo, WeightId, WeightStore};
 pub use liveness::{liveness, LiveInterval, Liveness};
-pub use op::{ActKind, ConvRole, ConvSpec, FconvSpec, FusedSpec, Op, PoolKind};
+pub use op::{ActKind, ConvRole, ConvSpec, FconvSpec, FusedGeometry, FusedSpec, Op, PoolKind};
 pub use pdg::Pdg;
 pub use schedule::{apply_order, memory_aware_order, memory_aware_order_ranked};
 pub use serialize::{load_graph, save_graph};

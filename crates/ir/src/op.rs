@@ -1,6 +1,8 @@
 //! The operator set.
 
-use crate::graph::WeightId;
+use temco_tensor::conv_out_dim;
+
+use crate::graph::{Graph, WeightId};
 
 pub use temco_tensor::ActKind;
 
@@ -82,6 +84,81 @@ pub struct FusedSpec {
     pub pool: Option<(PoolKind, usize, usize)>,
     /// Optional trailing reducing convolution.
     pub fconv: Option<FconvSpec>,
+}
+
+impl FusedSpec {
+    /// This node's geometry over an input of shape `input` (`[n, c, h, w]`),
+    /// reading the factor widths from `g`'s weights.
+    pub fn geometry(&self, g: &Graph, input: &[usize]) -> FusedGeometry {
+        FusedGeometry::new(
+            input,
+            g.weight(self.lconv_w).dim(0),
+            self.fconv.map(|fc| g.weight(fc.weight).dim(0)),
+            self.pool.map(|(_, k, s)| (k, s)),
+        )
+    }
+}
+
+/// The extents of one fused node, derived once: shape inference, the FLOP
+/// model, the tuning signature, the scratch formula and the kernel all
+/// read them from here.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct FusedGeometry {
+    /// Batch.
+    pub n: usize,
+    /// Reduced input channels (the lconv's input width).
+    pub c_in: usize,
+    /// Full channel width between lconv and fconv.
+    pub c_full: usize,
+    /// Output channels: the fconv's width, or `c_full` for a restore kernel.
+    pub c_out: usize,
+    /// Whether a reducing fconv follows.
+    pub fconv: bool,
+    /// Input height.
+    pub h: usize,
+    /// Input width.
+    pub w: usize,
+    /// Output (post-pool) height.
+    pub oh: usize,
+    /// Output (post-pool) width.
+    pub ow: usize,
+    /// Pool window (`1` without a pool).
+    pub pk: usize,
+    /// Pool stride (`1` without a pool; must be positive).
+    pub ps: usize,
+}
+
+impl FusedGeometry {
+    /// Geometry for an input `[n, c_in, h, w]`, `c_full` restored channels,
+    /// an optional fconv with `fconv_out` output channels and an optional
+    /// `(kernel, stride)` pool.
+    pub fn new(
+        input: &[usize],
+        c_full: usize,
+        fconv_out: Option<usize>,
+        pool: Option<(usize, usize)>,
+    ) -> FusedGeometry {
+        let (pk, ps) = pool.unwrap_or((1, 1));
+        let (h, w) = (input[2], input[3]);
+        FusedGeometry {
+            n: input[0],
+            c_in: input[1],
+            c_full,
+            c_out: fconv_out.unwrap_or(c_full),
+            fconv: fconv_out.is_some(),
+            h,
+            w,
+            oh: conv_out_dim(h, pk, ps, 0),
+            ow: conv_out_dim(w, pk, ps, 0),
+            pk,
+            ps,
+        }
+    }
+
+    /// The node's output shape `[n, c_out, oh, ow]`.
+    pub fn out_shape(&self) -> [usize; 4] {
+        [self.n, self.c_out, self.oh, self.ow]
+    }
 }
 
 /// One IR operator.

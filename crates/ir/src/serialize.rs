@@ -75,85 +75,141 @@ pub fn save_graph(g: &Graph, w: &mut impl Write) -> io::Result<()> {
     Ok(())
 }
 
-/// Deserialize a graph from `r`.
+/// Deserialize a graph from `r`, reading it to the end.
+///
+/// Every count and size in the input is bounded by the bytes that remain
+/// (with checked arithmetic), so no input can make the loader allocate
+/// more than it could still supply. Every value and weight id is
+/// range-checked, and the graph is verified and its shapes re-inferred
+/// before it is returned.
 ///
 /// # Errors
-/// I/O errors, bad magic, or an unsupported version.
+/// I/O errors, truncation (`UnexpectedEof`), and `InvalidData` for bad
+/// magic, an unsupported version, an out-of-range id or size, or a graph
+/// that fails verification or shape inference.
 pub fn load_graph(r: &mut impl Read) -> io::Result<Graph> {
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "not a .temco model file"));
+    let mut bytes = Vec::new();
+    r.read_to_end(&mut bytes)?;
+    let r = &mut Input(&bytes);
+    if r.take(4)? != MAGIC {
+        return Err(invalid("not a .temco model file"));
     }
-    let version = get_u32(r)?;
+    let version = r.u32()?;
     if version != VERSION {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("unsupported .temco version {version}"),
-        ));
+        return Err(invalid(format!("unsupported .temco version {version}")));
     }
 
-    let n_weights = get_u32(r)? as usize;
+    // Each count is checked against the smallest encoding of one item.
+    let n_weights = r.count(4)?;
     let mut weights = Vec::with_capacity(n_weights);
     for _ in 0..n_weights {
-        let ndim = get_u32(r)? as usize;
-        let mut dims = Vec::with_capacity(ndim);
-        for _ in 0..ndim {
-            dims.push(get_u32(r)? as usize);
-        }
-        let numel: usize = dims.iter().product();
-        let mut data = vec![0f32; numel];
-        for x in &mut data {
-            let mut b = [0u8; 4];
-            r.read_exact(&mut b)?;
-            *x = f32::from_le_bytes(b);
-        }
+        let dims: Vec<usize> = r.list()?.map(|d| d as usize).collect();
+        let numel = checked_numel(&dims).ok_or_else(|| invalid("weight size overflows"))?;
+        let data = r.take(numel.checked_mul(4).ok_or_else(|| invalid("weight size overflows"))?)?;
+        let data = data.chunks_exact(4).map(|b| f32::from_le_bytes(word(b))).collect();
         weights.push(Tensor::from_vec(&dims, data));
     }
 
-    let n_values = get_u32(r)? as usize;
+    let n_values = r.count(8)?;
     let mut values = Vec::with_capacity(n_values);
     for _ in 0..n_values {
-        let name = get_str(r)?;
-        let tag = get_u32(r)?;
-        let shape = if tag == u32::MAX {
-            None
-        } else {
-            let mut s = Vec::with_capacity(tag as usize);
-            for _ in 0..tag {
-                s.push(get_u32(r)? as usize);
-            }
-            Some(s)
+        let name = r.str()?;
+        let tag = r.u32()?;
+        let shape = match tag {
+            u32::MAX => None,
+            rank => Some(r.words(rank as usize)?.map(|d| d as usize).collect()),
         };
         values.push(ValueInfo { name, shape });
     }
 
-    let n_nodes = get_u32(r)? as usize;
+    let n_nodes = r.count(16)?;
     let mut nodes = Vec::with_capacity(n_nodes);
     for _ in 0..n_nodes {
         let op = get_op(r)?;
-        let n_in = get_u32(r)? as usize;
-        let mut inputs = Vec::with_capacity(n_in);
-        for _ in 0..n_in {
-            inputs.push(ValueId(get_u32(r)?));
-        }
-        let output = ValueId(get_u32(r)?);
-        let name = get_str(r)?;
+        let inputs = r.list()?.map(ValueId).collect();
+        let output = ValueId(r.u32()?);
+        let name = r.str()?;
         nodes.push(Node { op, inputs, output, name });
     }
 
-    let n_inputs = get_u32(r)? as usize;
-    let mut inputs = Vec::with_capacity(n_inputs);
-    for _ in 0..n_inputs {
-        inputs.push(ValueId(get_u32(r)?));
+    let inputs = r.list()?.map(ValueId).collect();
+    let outputs = r.list()?.map(ValueId).collect();
+
+    let mut g = Graph { nodes, values, weights: weights.into(), inputs, outputs };
+    // `verify` range-checks every id before anything indexes by one.
+    if let Some(e) = crate::verify::verify(&g).into_iter().next() {
+        return Err(invalid(e));
     }
-    let n_outputs = get_u32(r)? as usize;
-    let mut outputs = Vec::with_capacity(n_outputs);
-    for _ in 0..n_outputs {
-        outputs.push(ValueId(get_u32(r)?));
+    g.try_infer_shapes().map_err(invalid)?;
+    if g.values
+        .iter()
+        .filter_map(|v| v.shape.as_deref())
+        .any(|s| checked_numel(s).and_then(|n| n.checked_mul(std::mem::size_of::<f32>())).is_none())
+    {
+        return Err(invalid("value size overflows"));
+    }
+    Ok(g)
+}
+
+fn invalid(e: impl ToString) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, e.to_string())
+}
+
+fn checked_numel(dims: &[usize]) -> Option<usize> {
+    dims.iter().try_fold(1usize, |n, &d| n.checked_mul(d))
+}
+
+fn word(b: &[u8]) -> [u8; 4] {
+    b.try_into().expect("4-byte chunk")
+}
+
+/// The unread rest of a serialized graph.
+struct Input<'a>(&'a [u8]);
+
+impl<'a> Input<'a> {
+    fn take(&mut self, n: usize) -> io::Result<&'a [u8]> {
+        if n > self.0.len() {
+            return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "truncated .temco model"));
+        }
+        let (head, rest) = self.0.split_at(n);
+        self.0 = rest;
+        Ok(head)
     }
 
-    Ok(Graph { nodes, values, weights: weights.into(), inputs, outputs })
+    fn u32(&mut self) -> io::Result<u32> {
+        Ok(u32::from_le_bytes(word(self.take(4)?)))
+    }
+
+    /// A count of items that each take at least `min_bytes` of what remains.
+    fn count(&mut self, min_bytes: usize) -> io::Result<usize> {
+        let n = self.u32()? as usize;
+        if n.checked_mul(min_bytes).is_none_or(|b| b > self.0.len()) {
+            return Err(invalid(format!("count {n} exceeds the remaining input")));
+        }
+        Ok(n)
+    }
+
+    /// `n` consecutive u32s (bounded by the bytes that remain).
+    fn words(&mut self, n: usize) -> io::Result<impl Iterator<Item = u32> + 'a> {
+        let b = self.take(n.checked_mul(4).ok_or_else(|| invalid("length overflows"))?)?;
+        Ok(b.chunks_exact(4).map(|w| u32::from_le_bytes(word(w))))
+    }
+
+    /// A u32 count followed by that many u32s.
+    fn list(&mut self) -> io::Result<impl Iterator<Item = u32> + 'a> {
+        let n = self.count(4)?;
+        self.words(n)
+    }
+
+    fn str(&mut self) -> io::Result<String> {
+        let len = self.u32()? as usize;
+        String::from_utf8(self.take(len)?.to_vec()).map_err(invalid)
+    }
+
+    fn opt_weight(&mut self) -> io::Result<Option<WeightId>> {
+        let x = self.u32()?;
+        Ok((x != u32::MAX).then_some(WeightId(x)))
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -164,31 +220,13 @@ fn put_u32(w: &mut impl Write, x: u32) -> io::Result<()> {
     w.write_all(&x.to_le_bytes())
 }
 
-fn get_u32(r: &mut impl Read) -> io::Result<u32> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
-}
-
 fn put_str(w: &mut impl Write, s: &str) -> io::Result<()> {
     put_u32(w, s.len() as u32)?;
     w.write_all(s.as_bytes())
 }
 
-fn get_str(r: &mut impl Read) -> io::Result<String> {
-    let len = get_u32(r)? as usize;
-    let mut b = vec![0u8; len];
-    r.read_exact(&mut b)?;
-    String::from_utf8(b).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
-}
-
 fn put_opt_w(w: &mut impl Write, x: Option<WeightId>) -> io::Result<()> {
     put_u32(w, x.map_or(u32::MAX, |i| i.0))
-}
-
-fn get_opt_w(r: &mut impl Read) -> io::Result<Option<WeightId>> {
-    let x = get_u32(r)?;
-    Ok((x != u32::MAX).then_some(WeightId(x)))
 }
 
 fn act_tag(a: ActKind) -> u32 {
@@ -206,7 +244,7 @@ fn act_from(t: u32) -> io::Result<ActKind> {
         1 => ActKind::Silu,
         2 => ActKind::Sigmoid,
         3 => ActKind::Tanh,
-        _ => return Err(io::Error::new(io::ErrorKind::InvalidData, "bad activation tag")),
+        _ => return Err(invalid("bad activation tag")),
     })
 }
 
@@ -308,80 +346,80 @@ fn put_op(w: &mut impl Write, op: &Op) -> io::Result<()> {
     Ok(())
 }
 
-fn get_op(r: &mut impl Read) -> io::Result<Op> {
-    let tag = get_u32(r)?;
+fn get_op(r: &mut Input<'_>) -> io::Result<Op> {
+    let tag = r.u32()?;
     Ok(match tag {
         0 => Op::Input,
         1 => {
-            let weight = WeightId(get_u32(r)?);
-            let bias = get_opt_w(r)?;
-            let stride = (get_u32(r)? as usize, get_u32(r)? as usize);
-            let padding = (get_u32(r)? as usize, get_u32(r)? as usize);
-            let groups = get_u32(r)? as usize;
-            let role = match get_u32(r)? {
+            let weight = WeightId(r.u32()?);
+            let bias = r.opt_weight()?;
+            let stride = (r.u32()? as usize, r.u32()? as usize);
+            let padding = (r.u32()? as usize, r.u32()? as usize);
+            let groups = r.u32()? as usize;
+            let role = match r.u32()? {
                 0 => ConvRole::Standard,
                 1 => ConvRole::FConv,
                 2 => ConvRole::Core,
                 3 => ConvRole::LConv,
-                _ => return Err(io::Error::new(io::ErrorKind::InvalidData, "bad conv role")),
+                _ => return Err(invalid("bad conv role")),
             };
             Op::Conv2d(ConvSpec { weight, bias, stride, padding, groups, role })
         }
         2 => {
-            let weight = WeightId(get_u32(r)?);
-            let bias = get_opt_w(r)?;
-            let stride = (get_u32(r)? as usize, get_u32(r)? as usize);
+            let weight = WeightId(r.u32()?);
+            let bias = r.opt_weight()?;
+            let stride = (r.u32()? as usize, r.u32()? as usize);
             Op::ConvTranspose2d { weight, bias, stride }
         }
-        3 => Op::Activation(act_from(get_u32(r)?)?),
+        3 => Op::Activation(act_from(r.u32()?)?),
         4 => {
-            let kind = if get_u32(r)? == 1 { PoolKind::Avg } else { PoolKind::Max };
-            Op::Pool { kind, kernel: get_u32(r)? as usize, stride: get_u32(r)? as usize }
+            let kind = if r.u32()? == 1 { PoolKind::Avg } else { PoolKind::Max };
+            Op::Pool { kind, kernel: r.u32()? as usize, stride: r.u32()? as usize }
         }
         5 => Op::GlobalAvgPool,
-        6 => Op::Affine { scale: WeightId(get_u32(r)?), bias: WeightId(get_u32(r)?) },
+        6 => Op::Affine { scale: WeightId(r.u32()?), bias: WeightId(r.u32()?) },
         7 => Op::Add,
         8 => Op::Concat,
         9 => {
-            let weight = WeightId(get_u32(r)?);
-            let bias = get_opt_w(r)?;
+            let weight = WeightId(r.u32()?);
+            let bias = r.opt_weight()?;
             Op::Linear { weight, bias }
         }
         10 => Op::Flatten,
         11 => Op::Softmax,
         12 => {
-            let lconv_w = WeightId(get_u32(r)?);
-            let lconv_b = get_opt_w(r)?;
-            let act = act_from(get_u32(r)?)?;
-            let pool_tag = get_u32(r)?;
+            let lconv_w = WeightId(r.u32()?);
+            let lconv_b = r.opt_weight()?;
+            let act = act_from(r.u32()?)?;
+            let pool_tag = r.u32()?;
             let pool = if pool_tag == u32::MAX {
                 None
             } else {
                 let kind = if pool_tag == 1 { PoolKind::Avg } else { PoolKind::Max };
-                Some((kind, get_u32(r)? as usize, get_u32(r)? as usize))
+                Some((kind, r.u32()? as usize, r.u32()? as usize))
             };
-            let fconv_tag = get_u32(r)?;
+            let fconv_tag = r.u32()?;
             let fconv = if fconv_tag == u32::MAX {
                 None
             } else {
-                Some(FconvSpec { weight: WeightId(fconv_tag), bias: get_opt_w(r)? })
+                Some(FconvSpec { weight: WeightId(fconv_tag), bias: r.opt_weight()? })
             };
             Op::Fused(FusedSpec { lconv_w, lconv_b, act, pool, fconv })
         }
         13 => {
-            let transpose_a = get_u32(r)? != 0;
-            let transpose_b = get_u32(r)? != 0;
+            let transpose_a = r.u32()? != 0;
+            let transpose_b = r.u32()? != 0;
             Op::MatMul { transpose_a, transpose_b }
         }
         14 => {
-            let scale = WeightId(get_u32(r)?);
-            let bias = WeightId(get_u32(r)?);
-            let eps = f32::from_bits(get_u32(r)?);
+            let scale = WeightId(r.u32()?);
+            let bias = WeightId(r.u32()?);
+            let eps = f32::from_bits(r.u32()?);
             Op::LayerNorm { scale, bias, eps }
         }
-        15 => Op::SplitHeads { heads: get_u32(r)? as usize },
-        16 => Op::MergeHeads { heads: get_u32(r)? as usize },
-        _ => return Err(io::Error::new(io::ErrorKind::InvalidData, format!("bad op tag {tag}"))),
+        15 => Op::SplitHeads { heads: r.u32()? as usize },
+        16 => Op::MergeHeads { heads: r.u32()? as usize },
+        _ => return Err(invalid(format!("bad op tag {tag}"))),
     })
 }
 
@@ -435,8 +473,7 @@ mod tests {
         assert!(crate::verify::verify(&g2).is_empty());
     }
 
-    #[test]
-    fn roundtrip_preserves_fused_ops() {
+    fn fused_sample() -> Graph {
         let mut g = Graph::new();
         let x = g.input(&[1, 2, 4, 4], "x");
         let lw = g.add_weight(Tensor::randn(&[8, 2, 1, 1], 1));
@@ -457,9 +494,22 @@ mod tests {
         g.mark_output(f);
         g.mark_output(restore);
         g.infer_shapes();
+        g
+    }
+
+    fn saved(g: &Graph) -> Vec<u8> {
+        let mut buf = Vec::new();
+        save_graph(g, &mut buf).expect("save");
+        buf
+    }
+
+    #[test]
+    fn roundtrip_preserves_fused_ops() {
+        let g = fused_sample();
         let g2 = roundtrip(&g);
         assert_eq!(g.nodes[1].op, g2.nodes[1].op);
         assert_eq!(g.nodes[2].op, g2.nodes[2].op);
+        assert_eq!(saved(&g), saved(&g2));
     }
 
     #[test]
@@ -503,11 +553,48 @@ mod tests {
     }
 
     #[test]
-    fn truncated_stream_fails_cleanly() {
-        let g = sample_graph();
-        let mut buf = Vec::new();
-        save_graph(&g, &mut buf).unwrap();
-        buf.truncate(buf.len() / 2);
-        assert!(load_graph(&mut buf.as_slice()).is_err());
+    fn every_truncation_is_an_error() {
+        let buf = saved(&fused_sample());
+        for len in 0..buf.len() {
+            assert!(load_graph(&mut &buf[..len]).is_err(), "prefix of {len} bytes loaded");
+        }
+    }
+
+    #[test]
+    fn inflated_counts_and_dims_are_errors_not_allocations() {
+        let buf = saved(&fused_sample());
+        let with = |at: usize, words: &[u32]| {
+            let mut b = buf.clone();
+            for (i, w) in words.iter().enumerate() {
+                b[at + 4 * i..at + 4 * i + 4].copy_from_slice(&w.to_le_bytes());
+            }
+            load_graph(&mut b.as_slice()).unwrap_err().kind()
+        };
+        // Header: magic, version, weight count; then weight 0's ndim (4)
+        // and dims.
+        assert_eq!(with(8, &[u32::MAX]), io::ErrorKind::InvalidData);
+        assert_eq!(with(12, &[u32::MAX]), io::ErrorKind::InvalidData);
+        assert_eq!(with(16, &[u32::MAX; 4]), io::ErrorKind::InvalidData);
+        assert_eq!(with(16, &[u32::MAX, 1, 1, 1]), io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn out_of_range_ids_and_bad_graphs_are_errors() {
+        let load = |g: &Graph| load_graph(&mut saved(g).as_slice()).unwrap_err().kind();
+        let mut g = fused_sample();
+        g.nodes[1].inputs[0] = ValueId(99);
+        assert_eq!(load(&g), io::ErrorKind::InvalidData);
+        let mut g = fused_sample();
+        g.outputs.push(ValueId(99));
+        assert_eq!(load(&g), io::ErrorKind::InvalidData);
+        let mut g = fused_sample();
+        let Op::Fused(spec) = &mut g.nodes[1].op else { panic!() };
+        spec.lconv_w = WeightId(99);
+        assert_eq!(load(&g), io::ErrorKind::InvalidData);
+        // Ids in range, shapes inconsistent: fconv fed the wrong width.
+        let mut g = fused_sample();
+        let Op::Fused(spec) = &mut g.nodes[1].op else { panic!() };
+        spec.fconv = Some(FconvSpec { weight: spec.lconv_w, bias: None });
+        assert_eq!(load(&g), io::ErrorKind::InvalidData);
     }
 }

@@ -139,6 +139,7 @@ fn out_shape(g: &Graph, op: &Op, ins: &[Vec<usize>], name: &str) -> Result<Vec<u
             let x = &ins[0];
             require!(x.len() == 4, "conv input must be 4-D at '{name}'");
             let w = g.weight(spec.weight);
+            require!(w.shape().len() == 4, "conv '{name}': weight must be 4-D");
             let (c_out, c_in_g, kh, kw) = (w.dim(0), w.dim(1), w.dim(2), w.dim(3));
             require!(
                 c_in_g * spec.groups == x[1],
@@ -164,6 +165,7 @@ fn out_shape(g: &Graph, op: &Op, ins: &[Vec<usize>], name: &str) -> Result<Vec<u
             let x = &ins[0];
             require!(x.len() == 4, "upconv input must be 4-D at '{name}'");
             let w = g.weight(*weight);
+            require!(w.shape().len() == 4, "upconv '{name}': weight must be 4-D");
             require!(w.dim(0) == x[1], "upconv '{name}' channel mismatch");
             require!(
                 x[2] > 0 && x[3] > 0,
@@ -219,6 +221,7 @@ fn out_shape(g: &Graph, op: &Op, ins: &[Vec<usize>], name: &str) -> Result<Vec<u
             let x = &ins[0];
             require!(x.len() >= 2, "linear input must have features at '{name}'");
             let w = g.weight(*weight);
+            require!(w.shape().len() == 2, "linear '{name}': weight must be 2-D");
             // Contraction over the last dimension; leading dims carry over
             // (`[n, f] → [n, out]`, `[n, t, f] → [n, t, out]`).
             require!(
@@ -287,25 +290,19 @@ fn out_shape(g: &Graph, op: &Op, ins: &[Vec<usize>], name: &str) -> Result<Vec<u
             let x = &ins[0];
             require!(x.len() == 4, "fused input must be 4-D at '{name}'");
             let lw = g.weight(spec.lconv_w);
+            let fw = spec.fconv.map(|fc| g.weight(fc.weight));
+            require!(
+                lw.shape().len() == 4 && fw.is_none_or(|fw| fw.shape().len() == 4),
+                "fused '{name}': factor weights must be 4-D"
+            );
             require!(lw.dim(1) == x[1], "fused '{name}': lconv input channel mismatch");
-            let (mut h, mut w) = (x[2], x[3]);
-            if let Some((_, k, s)) = spec.pool {
+            if let Some((_, _, s)) = spec.pool {
                 require!(s > 0, "fused '{name}': pool stride must be positive");
-                h = conv_out_dim(h, k, s, 0);
-                w = conv_out_dim(w, k, s, 0);
             }
-            let c_out = match &spec.fconv {
-                Some(fc) => {
-                    let fw = g.weight(fc.weight);
-                    require!(
-                        fw.dim(1) == lw.dim(0),
-                        "fused '{name}': fconv/lconv channel mismatch"
-                    );
-                    fw.dim(0)
-                }
-                None => lw.dim(0), // restore kernel: full channel width out
-            };
-            vec![x[0], c_out, h, w]
+            if let Some(fw) = fw {
+                require!(fw.dim(1) == lw.dim(0), "fused '{name}': fconv/lconv channel mismatch");
+            }
+            spec.geometry(g, x).out_shape().to_vec()
         }
     })
 }

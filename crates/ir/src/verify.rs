@@ -8,7 +8,7 @@ use crate::op::Op;
 /// Check SSA well-formedness of a graph.
 ///
 /// Verified properties:
-/// * every value is defined exactly once;
+/// * every value id is in range, and every value is defined exactly once;
 /// * every operand is defined *before* (at a lower schedule index than) its
 ///   use — the node list must be a valid topological order;
 /// * weight references are in range;
@@ -30,6 +30,11 @@ pub fn verify(g: &Graph) -> Vec<String> {
                     node.name, g.values[v.0 as usize].name
                 ));
             }
+        }
+        if node.output.0 as usize >= g.values.len() {
+            errors
+                .push(format!("node {i} '{}' defines unknown value {:?}", node.name, node.output));
+            continue;
         }
         if !defined.insert(node.output.0) {
             errors.push(format!(
@@ -125,6 +130,20 @@ mod tests {
         });
         let errs = verify(&g);
         assert!(errs.iter().any(|e| e.contains("before its definition")), "{errs:?}");
+    }
+
+    #[test]
+    fn detects_out_of_range_output() {
+        let mut g = Graph::new();
+        let x = g.input(&[1, 2, 4, 4], "x");
+        g.nodes.push(Node {
+            op: Op::Softmax,
+            inputs: vec![x],
+            output: ValueId(99),
+            name: "sm".into(),
+        });
+        let errs = verify(&g);
+        assert!(errs.iter().any(|e| e.contains("defines unknown value")), "{errs:?}");
     }
 
     #[test]

@@ -11,12 +11,12 @@
 //!   timeline from shape inference + liveness alone, without executing a
 //!   single FLOP. This is what lets the peak-memory experiments (Figures 4
 //!   and 10) run at full 224×224 ImageNet scale on CPU.
-//! * [`fused`] — the CPU analogue of the paper's CUDA fused kernels
-//!   (Listing 1): `lconv → activation (→ pool) → fconv` computed strip by
-//!   strip (or in Listing 1's cubic tiles, when the node's
-//!   [`FusedSchedule`] asks for them) with O(strip) scratch, rayon-parallel
-//!   over batch × output rows. The full-channel intermediate never exists
-//!   as an allocated tensor.
+//! * [`fused`] — the CPU analogue of the paper's CUDA fused kernel
+//!   (Listing 1): one body computing `lconv → activation (→ pool) → fconv`
+//!   job tile by job tile — row strips by default, Listing 1's cubic tiles
+//!   when the node's [`FusedSchedule`] asks for them, bit-identical either
+//!   way — with O(tile) scratch, rayon-parallel over the tiles. The
+//!   full-channel intermediate never exists as an allocated tensor.
 //! * [`alloc`] — the static offset allocator: packs every internal tensor's
 //!   liveness interval into one contiguous slab (greedy best-fit) and
 //!   appends a shared kernel-scratch arena sized by [`scratch`], so a slab
@@ -36,7 +36,6 @@ pub mod alloc;
 pub mod engine;
 pub mod executor;
 pub mod fused;
-mod fused_tiled;
 pub mod memory;
 pub mod planner;
 pub mod profile;

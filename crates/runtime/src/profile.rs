@@ -66,7 +66,7 @@ pub fn node_slab_extent_bytes(g: &Graph, plan: &AllocationPlan, i: usize) -> usi
 }
 
 /// How a fused node's kernel partitions its scratch under `sched` (worker
-/// slots × strip or tile floats), or `None` for non-fused nodes. Pass the
+/// slots × per-tile floats), or `None` for non-fused nodes. Pass the
 /// plan's `node_schedule` entry: the total then equals the plan's
 /// `node_scratch` entry for the node, because the planner sizes fused
 /// scratch with this very function.
@@ -77,19 +77,7 @@ pub fn node_scratch_breakdown(
 ) -> Option<ScratchBreakdown> {
     match &node.op {
         Op::Fused(spec) => {
-            let s = g.shape(node.inputs[0]);
-            let c_full = g.weight(spec.lconv_w).dim(0);
-            let c_red_out = spec.fconv.as_ref().map_or(c_full, |fc| g.weight(fc.weight).dim(0));
-            Some(fused_scratch_breakdown(
-                s[0],
-                s[2],
-                s[3],
-                c_full,
-                c_red_out,
-                spec.pool.map(|(_, k, st)| (k, st)),
-                spec.fconv.is_some(),
-                sched.fused(),
-            ))
+            Some(fused_scratch_breakdown(&spec.geometry(g, g.shape(node.inputs[0])), sched.fused()))
         }
         _ => None,
     }
@@ -266,7 +254,7 @@ mod tests {
         let (i, node) =
             g.nodes.iter().enumerate().find(|(_, n)| matches!(n.op, Op::Fused(_))).unwrap();
         let lv = temco_ir::liveness(&g);
-        // The default strip body, a tuned tiled body, and a strip body with
+        // The default row strip, a tuned 3×3×3 tile, and a row strip with
         // a non-default oversubscription: in every case the breakdown is
         // exactly the planner's reservation, decomposed.
         for sched in [

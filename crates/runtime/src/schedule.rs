@@ -9,7 +9,7 @@
 //! * [`GemmSchedule`] (re-exported from `temco_tensor`) — the KC/MC/NC
 //!   cache-blocking of the packed SGEMM that backs Conv2d / Linear /
 //!   ConvTranspose2d nodes;
-//! * [`FusedSchedule`] — the strip/tile partitioning of the fused
+//! * [`FusedSchedule`] — the job tile and worker-slot count of the fused
 //!   lconv→act→pool→fconv kernel.
 //!
 //! [`NodeSchedule`] is the per-node sum type the [`AllocationPlan`]
@@ -25,21 +25,22 @@ pub use temco_tensor::GemmSchedule;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct FusedSchedule {
     /// Work-queue oversubscription: each rayon thread gets up to this many
-    /// scratch slots worth of row-strip jobs. Higher values smooth load
-    /// imbalance at the cost of scratch footprint.
+    /// scratch slots worth of jobs. Higher values smooth load imbalance at
+    /// the cost of scratch footprint.
     pub slots_per_thread: usize,
-    /// Channel-tile width for the tiled fused kernel. `0` selects the
-    /// strip kernel (no channel tiling); any positive value dispatches to
-    /// the tiled kernel with that tile width.
+    /// The kernel's job tile. `T > 0` is Listing 1's `T×T×T` tile: `T`
+    /// output channels × `T` pooled rows × `T` pooled columns. `0` is the
+    /// row strip: all output channels × one pooled row × all columns.
+    /// Every tile gives the same output bit for bit.
     pub tile: usize,
 }
 
 impl FusedSchedule {
-    /// The hand-tuned default: strip kernel, 4 slots per thread.
+    /// The hand-tuned default: row strips, 4 slots per thread.
     pub const DEFAULT: FusedSchedule = FusedSchedule { slots_per_thread: 4, tile: 0 };
 
     /// Clamp into the legal space: `slots_per_thread` must be positive.
-    /// `tile` is legal as-is (0 means "strip kernel").
+    /// `tile` is legal as-is (0 means "row strip").
     #[must_use]
     pub fn normalized(self) -> FusedSchedule {
         FusedSchedule { slots_per_thread: self.slots_per_thread.max(1), tile: self.tile }
@@ -72,7 +73,7 @@ pub enum NodeSchedule {
     Default,
     /// Explicit GEMM blocking for Conv2d / ConvTranspose2d / Linear nodes.
     Gemm(GemmSchedule),
-    /// Explicit strip/tile partitioning for Fused nodes.
+    /// Explicit job tile and slot count for Fused nodes.
     Fused(FusedSchedule),
 }
 

@@ -1,7 +1,7 @@
 //! Per-node kernel scratch requirements.
 //!
 //! Every compute kernel that needs working memory (im2col columns, GEMM
-//! pack panels, fused-tile strips) exposes one deterministic,
+//! pack panels, fused-kernel tiles) exposes one deterministic,
 //! schedule-taking scratch formula beside its one entry point
 //! (`*_scratch_floats` in `temco_tensor`,
 //! [`crate::fused::fused_scratch_breakdown`] for the fused kernel).

@@ -1,34 +1,72 @@
 //! Property tests for the fused kernel: for every channel/shape/activation/
-//! pooling combination and every schedule — strip body or tiled body at
-//! any tile width and oversubscription — the fused kernel must agree with
-//! the unfused three-op reference using exactly the scratch its breakdown
-//! advertises, and the alias-free allocation plan must be valid and
+//! pooling combination, with or without biases and a reducing fconv, and
+//! every schedule — any tile size and oversubscription — the fused kernel
+//! must agree with the unfused three-op reference using exactly the scratch
+//! its breakdown advertises, and bit for bit with the row strip
+//! (`tile == 0`); and the alias-free allocation plan must be valid and
 //! bounded for arbitrary graphs.
 
 use proptest::prelude::*;
-use temco_ir::{liveness, ActKind, Graph, PoolKind};
+use temco_ir::{liveness, ActKind, FusedGeometry, Graph, PoolKind};
 use temco_runtime::{
     fused_forward_into, fused_scratch_breakdown, plan_allocation_with_mode, plan_memory, AliasMode,
     FusedSchedule,
 };
 use temco_tensor::{avg_pool2d, conv2d, max_pool2d, Conv2dParams, Tensor};
 
+/// The unfused `conv → act (→ pool) (→ conv)` chain.
 fn reference(
     input: &Tensor,
-    lw: &Tensor,
+    (lw, lb): (&Tensor, Option<&[f32]>),
     act: ActKind,
     pool: Option<(PoolKind, usize, usize)>,
-    fw: &Tensor,
+    fconv: Option<(&Tensor, Option<&[f32]>)>,
 ) -> Tensor {
     let p = Conv2dParams::default();
-    let full = conv2d(input, lw, None, &p);
+    let full = conv2d(input, lw, lb, &p);
     let acted = act.forward(&full);
     let pooled = match pool {
         Some((PoolKind::Max, k, s)) => max_pool2d(&acted, k, s),
         Some((PoolKind::Avg, k, s)) => avg_pool2d(&acted, k, s),
         None => acted,
     };
-    conv2d(&pooled, fw, None, &p)
+    match fconv {
+        Some((fw, fb)) => conv2d(&pooled, fw, fb, &p),
+        None => pooled,
+    }
+}
+
+/// One fused run under `sched` on NaN-filled scratch of exactly the
+/// advertised size: the kernel must write every scratch float it reads.
+fn run_fused(
+    x: &Tensor,
+    (lw, lb): (&Tensor, Option<&[f32]>),
+    act: ActKind,
+    pool: Option<(PoolKind, usize, usize)>,
+    fconv: Option<(&Tensor, Option<&[f32]>)>,
+    sched: FusedSchedule,
+) -> Tensor {
+    let geo = FusedGeometry::new(
+        x.shape(),
+        lw.dim(0),
+        fconv.map(|(fw, _)| fw.dim(0)),
+        pool.map(|(_, k, s)| (k, s)),
+    );
+    let mut scratch = vec![f32::NAN; fused_scratch_breakdown(&geo, sched).total_floats()];
+    let mut got = Tensor::zeros(&geo.out_shape());
+    fused_forward_into(
+        x.view(),
+        lw,
+        lb,
+        act,
+        pool,
+        fconv.map(|(fw, _)| fw),
+        fconv.and_then(|(_, fb)| fb),
+        got.data_mut(),
+        &mut scratch,
+        sched,
+    );
+    got
 }
 
 proptest! {
@@ -44,7 +82,10 @@ proptest! {
         w in 2usize..9,
         act_sel in 0usize..4,
         pool_sel in 0usize..5,
-        tile in 0usize..6,
+        with_fconv in any::<bool>(),
+        with_lb in any::<bool>(),
+        with_fb in any::<bool>(),
+        tile in 0usize..10,
         slots_per_thread in 1usize..9,
         seed in 0u64..500,
     ) {
@@ -60,29 +101,19 @@ proptest! {
         }
         let x = Tensor::randn(&[n, c_red, h, w], seed);
         let lw = Tensor::randn(&[c_full, c_red, 1, 1], seed ^ 0x11);
+        let lb = Tensor::randn(&[c_full], seed ^ 0x33);
         let fw = Tensor::randn(&[c_out, c_full, 1, 1], seed ^ 0x22);
-        let want = reference(&x, &lw, act, pool, &fw);
-        // `tile == 0` runs the strip body, `1..=5` the tiled body.
+        let fb = Tensor::randn(&[c_out], seed ^ 0x44);
+        let lconv = (&lw, with_lb.then_some(lb.data()));
+        let fconv = with_fconv.then_some((&fw, with_fb.then_some(fb.data())));
+        let want = reference(&x, lconv, act, pool, fconv);
         let sched = FusedSchedule { tile, slots_per_thread };
-        let geometry = pool.map(|(_, k, s)| (k, s));
-        let floats = fused_scratch_breakdown(n, h, w, c_full, c_out, geometry, true, sched)
-            .total_floats();
-        // NaN-filled: the kernel must write every scratch float it reads.
-        let mut scratch = vec![f32::NAN; floats];
-        let mut got = Tensor::zeros(want.shape());
-        fused_forward_into(
-            x.view(),
-            &lw,
-            None,
-            act,
-            pool,
-            Some(&fw),
-            None,
-            got.data_mut(),
-            &mut scratch,
-            sched,
-        );
+        let got = run_fused(&x, lconv, act, pool, fconv, sched);
         prop_assert!(got.max_abs_diff(&want) <= 2e-3, "{sched:?}: diff {}", got.max_abs_diff(&want));
+        // Every tile size accumulates in the strip's order.
+        let strip = run_fused(&x, lconv, act, pool, fconv, FusedSchedule::DEFAULT);
+        prop_assert_eq!(got.shape(), strip.shape());
+        prop_assert!(got.data() == strip.data(), "{sched:?} differs from the strip");
     }
 
     #[test]

@@ -33,7 +33,7 @@ const GEMM_GRID: &[(usize, usize, usize)] = &[
     (256, 64, 512),
 ];
 
-/// Fused strip/tile grid (beyond the default spt=4, tile=0).
+/// Fused slot/tile grid (beyond the default spt=4, tile=0).
 const FUSED_GRID: &[(usize, usize)] =
     &[(1, 0), (2, 0), (8, 0), (4, 8), (4, 16), (4, 32), (2, 16), (8, 16), (1, 32)];
 

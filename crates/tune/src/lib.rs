@@ -1,7 +1,7 @@
 //! `temco-tune`: the schedule-search autotuning plane.
 //!
 //! TeMCO's kernels (packed GEMM behind conv2d/conv-transpose/linear, and
-//! the fused strip/tile kernels) are parameterized by *schedules* — cache
+//! the fused kernel's job tile) are parameterized by *schedules* — cache
 //! blockings and parallel grain sizes that used to be compile-time
 //! constants. This crate searches that space per kernel shape and
 //! persists the winners:

@@ -58,15 +58,16 @@ pub fn node_signature(g: &Graph, node: &Node) -> Option<(&'static str, String)> 
             Some(("linear", format!("n{}f{}o{}", s[0], s[1], g.weight(*weight).dim(0))))
         }
         Op::Fused(spec) => {
-            let s = g.shape(node.inputs[0]);
-            let c_full = g.weight(spec.lconv_w).dim(0);
-            let c_red_out = spec.fconv.as_ref().map_or(c_full, |fc| g.weight(fc.weight).dim(0));
+            let geo = spec.geometry(g, g.shape(node.inputs[0]));
             let pool =
                 spec.pool.map_or_else(|| "p0".to_string(), |(_, k, st)| format!("p{k}s{st}"));
-            let fc = if spec.fconv.is_some() { "-fc" } else { "" };
+            let fc = if geo.fconv { "-fc" } else { "" };
             Some((
                 "fused",
-                format!("n{}c{}h{}w{}-cf{c_full}-cr{c_red_out}-{pool}{fc}", s[0], s[1], s[2], s[3]),
+                format!(
+                    "n{}c{}h{}w{}-cf{}-cr{}-{pool}{fc}",
+                    geo.n, geo.c_in, geo.h, geo.w, geo.c_full, geo.c_out
+                ),
             ))
         }
         _ => None,

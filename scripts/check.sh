@@ -35,6 +35,20 @@ cargo test -q --workspace --exclude temco-repro
 echo "=== temco check (short mode) ==="
 cargo run --release -q -p temco-cli --bin temco -- check --iters 8 --faults 2000 --seed 42
 
+# Model-file loader gate: a truncated `.temco` file must be refused with a
+# plain error and exit code 1 — never a panic (101) or an abort.
+echo "=== temco info on a truncated model file (exit 1, no panic) ==="
+model_dir="$(mktemp -d)"
+cargo run --release -q -p temco-cli --bin temco -- compile alexnet --image 64 --save "$model_dir/alexnet.temco" > /dev/null
+truncate -s 1000 "$model_dir/alexnet.temco"
+status=0
+./target/release/temco info "$model_dir/alexnet.temco" 2> /dev/null || status=$?
+rm -rf "$model_dir"
+if [[ "$status" -ne 1 ]]; then
+    echo "temco info on a truncated file exited $status, expected 1" >&2
+    exit 1
+fi
+
 # Transformer-encoder smoke: build the tiny encoder, compress its weight
 # matrices through the per-layer Tucker/CP/TT selector, then gate on
 # (a) pass invariance of the compressed graph across all opt levels,

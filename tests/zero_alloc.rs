@@ -1,8 +1,8 @@
 //! The PR's zero-allocation acceptance bar: after `Engine::new` has
 //! planned and allocated, a steady-state `Engine::run` performs **zero**
 //! heap allocations — every kernel writes into planned slab offsets and
-//! draws its working memory (im2col columns, GEMM pack panels, fused-tile
-//! strips) from the planner-reserved scratch arena.
+//! draws its working memory (im2col columns, GEMM pack panels, fused-kernel
+//! tiles) from the planner-reserved scratch arena.
 //!
 //! Verified with a counting `#[global_allocator]` gated by a thread-local
 //! flag, so the test harness's own threads cannot pollute the count. On
