@@ -1,5 +1,5 @@
 //! Differential execution: every execution path, every opt level, every
-//! rebatch bucket, one graph at a time.
+//! served batch size, one graph at a time.
 //!
 //! The oracle structure has two tiers because decomposition is *lossy*
 //! (ratio < 1 truncates singular values):
@@ -17,9 +17,11 @@
 //!   with a looser, magnitude-relative tolerance that admits float
 //!   reassociation in fused kernels but not real rewrite bugs.
 //!
-//! Each rebatch bucket additionally checks *per-sample consistency*: a
-//! batched run must reproduce each sample's batch-1 output exactly to tight
-//! tolerance (every op in the IR is batch-independent).
+//! A *served-batch* tier checks per-sample consistency the way the server
+//! runs: the graph compiled once at `max_batch`, run with every sample
+//! count up to it on one engine, must reproduce each sample's batch-1
+//! output to tight tolerance (every op in the IR is batch-independent and
+//! keeps the batch outermost).
 //!
 //! Panics anywhere in compile or execute are caught and reported as
 //! failures with the panic message — a crash is a finding, not a test
@@ -29,7 +31,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use temco::{Compiler, CompilerOptions, DecomposeOptions, Method, OptLevel};
 use temco_ir::{liveness, Graph};
-use temco_runtime::{execute, plan_allocation_with_mode, AliasMode, ExecMode, ExecOptions};
+use temco_runtime::{execute, plan_allocation_with_mode, AliasMode, Engine, ExecMode, ExecOptions};
 use temco_tensor::Tensor;
 
 use crate::gen::{random_graph, GenConfig};
@@ -47,7 +49,8 @@ pub struct DiffConfig {
     /// Compile and cross-check all four opt levels (decomposition is the
     /// expensive part; disable for pure runtime checks).
     pub opt_levels: bool,
-    /// Top of the rebatch bucket ladder (1, 2, 4, …, `max_batch`).
+    /// Largest served batch: the graph is compiled once at it and run with
+    /// every sample count `1..=max_batch`.
     pub max_batch: usize,
     /// Decomposition ratio handed to the compiler.
     pub ratio: f64,
@@ -126,19 +129,6 @@ fn compare(seed: u64, stage: &str, a: &[Tensor], b: &[Tensor], tol: f32) -> Resu
     Ok(())
 }
 
-/// The power-of-two bucket ladder topped by `max_batch` (mirrors the
-/// serving layer's plan cache).
-fn ladder(max_batch: usize) -> Vec<usize> {
-    let mut out = Vec::new();
-    let mut b = 1;
-    while b < max_batch {
-        out.push(b);
-        b *= 2;
-    }
-    out.push(max_batch.max(1));
-    out
-}
-
 /// Generate the graph for `seed` (CNN or transformer — see
 /// [`crate::gen::random_graph`]) and run the full differential check.
 pub fn check_seed(seed: u64, cfg: &DiffConfig) -> Result<(), Failure> {
@@ -173,11 +163,9 @@ pub fn check_graph(g: &Graph, seed: u64, cfg: &DiffConfig) -> Result<(), Failure
     // numbers, and never beat the alias-aware plan on footprint or copies.
     check_alias_ab(g, &input, &reference, seed)?;
 
-    // Rebatch buckets: batched slab run reproduces each sample's batch-1
-    // output row-for-row.
-    for bucket in ladder(cfg.max_batch) {
-        check_bucket(g, bucket, seed, cfg)?;
-    }
+    // Served batches: every sample count on the one max-batch plan
+    // reproduces each sample's batch-1 output row for row.
+    check_served_batches(g, seed, cfg.max_batch)?;
 
     // Opt-level tier: everything compares against the Decomposed baseline.
     // The decomposition family cycles with the seed so the corpus exercises
@@ -284,44 +272,60 @@ fn check_alias_ab(
     compare(seed, "noalias-vs-pernode", &out, reference, PATH_TOL)
 }
 
-/// Rebatch to `bucket`, run the batched graph on `bucket` distinct samples,
-/// and compare each output row to the corresponding batch-1 reference.
-fn check_bucket(g: &Graph, bucket: usize, seed: u64, _cfg: &DiffConfig) -> Result<(), Failure> {
-    let stage = format!("rebatch-{bucket}");
-    let gb = guarded(|| g.try_rebatch(bucket))
+/// Compile the graph once at `max_batch`, as the server does, run it with
+/// every sample count `1..=max_batch` on one engine, and compare each
+/// output row to the corresponding sample's batch-1 slab run.
+fn check_served_batches(g: &Graph, seed: u64, max_batch: usize) -> Result<(), Failure> {
+    let max_batch = max_batch.max(1);
+    let stage = format!("batch-of-{max_batch}");
+    let gb = guarded(|| g.try_rebatch(max_batch))
         .map_err(|m| fail(seed, &stage, format!("rebatch panicked: {m}")))?
         .map_err(|e| fail(seed, &stage, format!("rebatch error: {e}")))?;
+    let mut engine = guarded(|| Engine::new(gb))
+        .map_err(|m| fail(seed, &stage, format!("compile panicked: {m}")))?
+        .map_err(|e| fail(seed, &stage, format!("compile error: {e}")))?;
 
     let sample_shape = g.shape(g.inputs[0]).to_vec();
-    let sample_numel: usize = sample_shape.iter().product();
-    let samples: Vec<Tensor> = (0..bucket)
+    let samples: Vec<Tensor> = (0..max_batch)
         .map(|i| Tensor::rand_uniform(&sample_shape, seed ^ (0xBA7C << 8) ^ i as u64, -1.0, 1.0))
         .collect();
+    let singles = samples
+        .iter()
+        .map(|s| run_mode(g, s, ExecMode::Slab, seed, &stage))
+        .collect::<Result<Vec<_>, _>>()?;
 
-    let mut batched_shape = sample_shape.clone();
-    batched_shape[0] = bucket;
-    let mut data = Vec::with_capacity(bucket * sample_numel);
-    for s in &samples {
-        data.extend_from_slice(s.data());
-    }
-    let batched_in = Tensor::from_vec(&batched_shape, data);
-
-    let batched = run_mode(&gb, &batched_in, ExecMode::Slab, seed, &stage)?;
-    for (i, s) in samples.iter().enumerate() {
-        let single = run_mode(g, s, ExecMode::Slab, seed, &stage)?;
-        for (o, single_out) in single.iter().enumerate() {
-            let out_numel: usize = g.shape(g.outputs[o]).iter().product();
-            let row = &batched[o].data()[i * out_numel..(i + 1) * out_numel];
-            let diff =
-                row.iter().zip(single_out.data()).fold(0.0f32, |m, (a, b)| m.max((a - b).abs()));
-            if diff > PATH_TOL {
-                return Err(fail(
-                    seed,
-                    &stage,
-                    format!(
-                        "sample {i} of {bucket}, output {o}: batched row diverges by {diff:.3e}"
-                    ),
-                ));
+    for n in 1..=max_batch {
+        let mut batched_shape = sample_shape.clone();
+        batched_shape[0] = n;
+        let data = samples[..n].iter().flat_map(|s| s.data().iter().copied()).collect();
+        let batched_in = Tensor::from_vec(&batched_shape, data);
+        let batched = guarded(|| engine.run(std::slice::from_ref(&batched_in)).map(<[_]>::to_vec))
+            .map_err(|m| fail(seed, &stage, format!("{n} samples: engine panicked: {m}")))?
+            .map_err(|e| fail(seed, &stage, format!("{n} samples: engine error: {e}")))?;
+        for (i, single) in singles[..n].iter().enumerate() {
+            for (o, single_out) in single.iter().enumerate() {
+                let out_numel = single_out.numel();
+                if batched[o].numel() != n * out_numel {
+                    return Err(fail(
+                        seed,
+                        &stage,
+                        format!("{n} samples, output {o}: shape {:?}", batched[o].shape()),
+                    ));
+                }
+                let row = &batched[o].data()[i * out_numel..(i + 1) * out_numel];
+                let diff = row
+                    .iter()
+                    .zip(single_out.data())
+                    .fold(0.0f32, |m, (a, b)| m.max((a - b).abs()));
+                if diff > PATH_TOL {
+                    return Err(fail(
+                        seed,
+                        &stage,
+                        format!(
+                            "sample {i} of {n}, output {o}: batched row diverges by {diff:.3e}"
+                        ),
+                    ));
+                }
             }
         }
     }

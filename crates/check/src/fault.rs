@@ -78,7 +78,7 @@ pub struct FaultReport {
     pub proto_errors: usize,
     /// Connections the injector deliberately broke mid-exchange.
     pub disconnects: usize,
-    /// Responses or tickets that never arrived within [`HANG_TIMEOUT`].
+    /// Responses or tickets that never arrived within `HANG_TIMEOUT`.
     pub hung: usize,
     /// Idle connections parked on the server during the flood phase.
     pub idle_flooded: usize,
@@ -314,7 +314,7 @@ fn queue_storm(server: &Server, numel: usize, report: &mut FaultReport) {
 }
 
 /// Run the fault-injection campaign. Binds an ephemeral local port,
-/// serves [`tiny_model`] behind `cfg.workers` workers, runs `cfg.frames`
+/// serves `tiny_model` behind `cfg.workers` workers, runs `cfg.frames`
 /// seeded adversarial episodes, then gracefully shuts down and audits the
 /// counters.
 pub fn run_fault_injection(cfg: &FaultConfig) -> io::Result<FaultReport> {

@@ -25,7 +25,7 @@ use temco_ir::{ActKind, Graph, ValueId};
 use temco_tensor::Tensor;
 
 /// Knobs for [`random_cnn`]. The defaults keep graphs small enough that a
-/// full differential check (all opt levels × all rebatch buckets) runs in
+/// full differential check (all opt levels × all served batch sizes) runs in
 /// tens of milliseconds, while still being deep enough to trigger every
 /// compiler pass.
 #[derive(Clone, Copy, Debug)]
@@ -309,7 +309,7 @@ pub fn random_transformer(seed: u64, cfg: &GenConfig) -> Graph {
     };
 
     // Model dims stay small: the differential oracle runs every block at
-    // every opt level and rebatch bucket. d = heads · head_dim keeps
+    // every opt level and served batch size. d = heads · head_dim keeps
     // SplitHeads legal by construction.
     let heads = [1usize, 2, 4][draw(&mut rng, 0, 2)];
     let dh = draw(&mut rng, 2, 5);

@@ -8,7 +8,7 @@
 //!   transformer subgraphs — MHA, MLP, gram attention, residual+layernorm
 //!   chains) driving differential execution: per-node reference vs the
 //!   slab [`Engine`](temco_runtime::Engine), across every opt level and
-//!   every rebatch bucket, outputs compared within tolerance.
+//!   every served batch size, outputs compared within tolerance.
 //! * [`invariants`] — an independent re-derivation of every
 //!   allocation-plan invariant via a write simulation (storage sharing only
 //!   where the graph itself sanctions it, scratch disjointness, exact peak

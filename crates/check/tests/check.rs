@@ -7,12 +7,14 @@
 //! * `TEMCO_CHECK_ITERS` — differential seeds to sweep (default 6).
 //! * `TEMCO_CHECK_FAULTS` — fault-injection episodes (default 150).
 
+use proptest::prelude::*;
 use temco_check::{
     check_plan_against, check_seed, dump, inject_aliasing, random_cnn, random_graph,
     run_fault_injection, shrink, DiffConfig, FaultConfig, GenConfig,
 };
 use temco_ir::{liveness, Graph};
-use temco_runtime::plan_allocation_with;
+use temco_runtime::{execute, plan_allocation_with, Engine, ExecMode, ExecOptions};
+use temco_tensor::Tensor;
 
 fn env_usize(name: &str, default: usize) -> usize {
     std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
@@ -91,4 +93,41 @@ fn fault_injection_leaves_the_server_healthy() {
         .expect("fault campaign must bind and run");
     assert!(report.passed(), "server unhealthy after {frames} episodes: {report}");
     assert!(report.ok > 0, "no valid request ever succeeded: {report}");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+    /// What a serving worker does: one engine over the graph compiled at
+    /// `max_batch`, run with fewer samples. Every run must match the
+    /// per-node reference on the graph re-batched to that many samples, in
+    /// any order of sample counts on the one engine.
+    #[test]
+    fn max_batch_plan_runs_fewer_samples_like_the_reference(
+        seed in 0u64..10_000,
+        max_batch in 2usize..7,
+        pick in 0usize..64,
+    ) {
+        let g = random_graph(seed, &GenConfig::default());
+        let mut engine = Engine::new(g.rebatch(max_batch)).unwrap();
+        let counts = [1 + pick % max_batch, max_batch, 1 + pick / 8 % max_batch, 1];
+        for (k, n) in counts.into_iter().enumerate() {
+            let gn = g.rebatch(n);
+            let x = Tensor::rand_uniform(gn.shape(gn.inputs[0]), seed ^ k as u64, -1.0, 1.0);
+            let inputs = std::slice::from_ref(&x);
+            let opts = ExecOptions { mode: ExecMode::PerNode, ..Default::default() };
+            let want = execute(&gn, inputs, opts).unwrap().outputs;
+            let got = engine.run(inputs).unwrap();
+            prop_assert_eq!(got.len(), want.len());
+            for (o, (a, b)) in got.iter().zip(&want).enumerate() {
+                prop_assert_eq!(a.shape(), b.shape());
+                let diff = a.max_abs_diff(b);
+                prop_assert!(
+                    diff <= 1e-4,
+                    "seed {} max_batch {} {} samples, output {}: diff {:.3e}",
+                    seed, max_batch, n, o, diff
+                );
+            }
+        }
+    }
 }

@@ -808,7 +808,7 @@ fn main() -> ExitCode {
         }
         "serve" => {
             // Serving is single-sample: the model is built at batch 1 and
-            // the server rebatches it per plan-cache bucket.
+            // the server compiles it once at `--max-batch`.
             let cfg = ModelConfig {
                 batch: 1,
                 image: cli.image,
@@ -867,13 +867,13 @@ fn main() -> ExitCode {
             };
             let snap = server.stats();
             println!(
-                "serving {} @ {} on {} — {} workers, buckets {:?}, {:.2} MiB slab/worker, \
+                "serving {} @ {} on {} — {} workers, batch ≤ {}, one {:.2} MiB slab/worker, \
                  {} conns max",
                 name,
                 cli.level.label(),
                 cli.addr,
                 cli.workers,
-                server.buckets(),
+                cli.max_batch,
                 mib(snap.slab_bytes_per_worker),
                 cli.max_conns,
             );
@@ -1039,7 +1039,7 @@ fn main() -> ExitCode {
         "check" => {
             let cfg = temco_check::DiffConfig::default();
             println!(
-                "differential: seeds {}..{} ({} opt levels, buckets up to {})",
+                "differential: seeds {}..{} ({} opt levels, batches up to {})",
                 cli.seed,
                 cli.seed + cli.iters as u64,
                 4,

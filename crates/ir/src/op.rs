@@ -122,6 +122,8 @@ pub struct FusedGeometry {
     pub oh: usize,
     /// Output (post-pool) width.
     pub ow: usize,
+    /// Whether a pool follows the activation.
+    pub pool: bool,
     /// Pool window (`1` without a pool).
     pub pk: usize,
     /// Pool stride (`1` without a pool; must be positive).
@@ -150,6 +152,7 @@ impl FusedGeometry {
             w,
             oh: conv_out_dim(h, pk, ps, 0),
             ow: conv_out_dim(w, pk, ps, 0),
+            pool: pool.is_some(),
             pk,
             ps,
         }

@@ -40,7 +40,7 @@ use temco_tensor::{
 
 use crate::alias::{AliasMode, NodeExec};
 use crate::alloc::{plan_allocation_with_schedules, AllocationPlan};
-use crate::executor::{check_graph, check_inputs, ExecError};
+use crate::executor::{check_graph, ExecError};
 use crate::fused::fused_forward_into;
 use crate::schedule::NodeSchedule;
 
@@ -52,6 +52,14 @@ const F32: usize = std::mem::size_of::<f32>();
 pub struct CompiledGraph {
     g: Graph,
     plan: AllocationPlan,
+    /// The batch the plan was made for: the outermost extent of the first
+    /// graph input (1 for a graph without one).
+    batch: usize,
+    /// Per value, the outermost rows one sample occupies (its outermost
+    /// extent at batch 1; 0 for a value no node produces). Empty when some
+    /// value is not `batch ×` its per-sample shape, and the plan then runs
+    /// only at its full batch.
+    sample_rows: Vec<usize>,
 }
 
 impl CompiledGraph {
@@ -84,7 +92,8 @@ impl CompiledGraph {
         if !violations.is_empty() {
             return Err(ExecError::InvalidPlan { violations });
         }
-        Ok(CompiledGraph { g, plan })
+        let (batch, sample_rows) = sample_rows(&g);
+        Ok(CompiledGraph { g, plan, batch, sample_rows })
     }
 
     /// The verified graph this compilation runs.
@@ -106,6 +115,72 @@ impl CompiledGraph {
     pub fn scratch_bytes(&self) -> usize {
         self.plan.scratch_bytes
     }
+
+    /// The batch the plan was made for: the largest extent an [`Engine`]
+    /// over it runs.
+    pub fn batch(&self) -> usize {
+        self.batch
+    }
+
+    /// `v`'s shape when an engine runs `extent` samples of this plan, or
+    /// `None` when `extent` is outside `1..=batch()` or the plan runs only
+    /// its full batch.
+    pub fn shape_at(&self, v: ValueId, extent: usize) -> Option<Vec<usize>> {
+        let mut shape = self.g.shape(v).to_vec();
+        if extent != self.batch {
+            if !(1..self.batch).contains(&extent) || self.sample_rows.is_empty() {
+                return None;
+            }
+            shape[0] = self.sample_rows[v.0 as usize] * extent;
+        }
+        Some(shape)
+    }
+
+    /// How many samples a tensor of `shape` fed to input `v` holds, if this
+    /// plan can run them: the full batch, or fewer samples whose rows form
+    /// a prefix of every value's planned region.
+    fn extent_of(&self, v: ValueId, shape: &[usize]) -> Option<usize> {
+        let full = self.g.shape(v);
+        if shape == full {
+            return Some(self.batch);
+        }
+        let rows = *self.sample_rows.get(v.0 as usize)?;
+        let fits = rows > 0
+            && shape.len() == full.len()
+            && shape[1..] == full[1..]
+            && shape[0].is_multiple_of(rows);
+        let extent = shape[0] / rows.max(1);
+        (fits && (1..self.batch).contains(&extent)).then_some(extent)
+    }
+}
+
+/// The plan's batch and each value's outermost rows per sample (see
+/// [`CompiledGraph`]). Every op in the IR keeps the batch as its outermost
+/// index, so when each value's shape is `batch ×` its batch-1 shape, the
+/// first `n` samples of every value are a prefix of its planned region and
+/// the plan runs any `n ≤ batch` unchanged.
+fn sample_rows(g: &Graph) -> (usize, Vec<usize>) {
+    let Some(batch) = g.inputs.first().and_then(|&v| g.shape(v).first().copied()) else {
+        return (1, Vec::new());
+    };
+    if batch == 1 {
+        let rows =
+            g.values.iter().map(|v| v.shape.as_ref().and_then(|s| s.first().copied()).unwrap_or(0));
+        let rows = rows.collect();
+        return (1, rows);
+    }
+    let Ok(one) = g.try_rebatch(1) else {
+        return (batch, Vec::new());
+    };
+    let mut rows = Vec::with_capacity(g.values.len());
+    for (full, one) in g.values.iter().zip(&one.values) {
+        rows.push(match (&full.shape, &one.shape) {
+            (Some(f), Some(o)) if !f.is_empty() && f[0] == o[0] * batch && f[1..] == o[1..] => o[0],
+            (Some(_), Some(_)) => return (batch, Vec::new()),
+            _ => 0,
+        });
+    }
+    (batch, rows)
 }
 
 /// A graph compiled down to a reusable slab and plan: the per-worker half.
@@ -115,6 +190,11 @@ pub struct Engine {
     shared: Arc<CompiledGraph>,
     slab: Vec<f32>,
     outputs: Vec<Tensor>,
+    /// Every value's shape at `extent`; rewritten in place when a run
+    /// brings a different number of samples.
+    shapes: Vec<Vec<usize>>,
+    /// Samples the last run held (the plan's batch before the first run).
+    extent: usize,
 }
 
 impl Engine {
@@ -130,7 +210,9 @@ impl Engine {
     pub fn from_compiled(shared: Arc<CompiledGraph>) -> Self {
         let slab = vec![0.0f32; shared.plan.slab_bytes / F32];
         let outputs = shared.g.outputs.iter().map(|v| Tensor::zeros(shared.g.shape(*v))).collect();
-        Engine { shared, slab, outputs }
+        let shapes = shared.g.values.iter().map(|v| v.shape.clone().unwrap_or_default()).collect();
+        let extent = shared.batch;
+        Engine { shared, slab, outputs, shapes, extent }
     }
 
     /// The shared compilation this engine runs on (clone the `Arc` to
@@ -163,9 +245,16 @@ impl Engine {
     /// Run one inference. Returns the output tensors (owned by the engine,
     /// overwritten by the next `run`) in `Graph::outputs` order.
     ///
+    /// The inputs may hold fewer samples than the plan's batch (any
+    /// `1..=`[`CompiledGraph::batch`] in the outermost dimension): every
+    /// kernel then runs on the first rows of its planned regions, and the
+    /// outputs hold as many samples as the inputs. There are no padding
+    /// rows.
+    ///
     /// Heap-allocation-free on success: input validation compares counts
     /// and shapes without building anything (mismatch reports allocate, but
-    /// only on the error path), and every kernel runs on slab views with
+    /// only on the error path), a change of sample count rewrites the
+    /// engine's shapes in place, and every kernel runs on slab views with
     /// planner-reserved scratch.
     pub fn run(&mut self, inputs: &[Tensor]) -> Result<&[Tensor], ExecError> {
         self.run_impl(inputs, None)
@@ -193,10 +282,11 @@ impl Engine {
         inputs: &[Tensor],
         mut rec: Option<&mut Recorder>,
     ) -> Result<&[Tensor], ExecError> {
+        let extent = self.extent_of(inputs)?;
+        self.set_extent(extent);
         let g = &self.shared.g;
-        check_inputs(g, inputs)?;
-
         let plan = &self.shared.plan;
+        let shapes = &self.shapes;
         let slab_ptr = self.slab.as_mut_ptr();
         let run_start = rec.as_ref().map_or(0, |r| r.now_ns());
         for i in 0..g.nodes.len() {
@@ -204,8 +294,9 @@ impl Engine {
             // SAFETY: the slab outlives the loop and nothing else views it;
             // the plan was validated in `CompiledGraph::with_alias`, and the
             // dispatch honors its aliasing discipline (single `&mut` per
-            // in-place region, memmove for aliased concat copies).
-            unsafe { run_node_on_slab(g, plan, i, slab_ptr, inputs) };
+            // in-place region, memmove for aliased concat copies). Each
+            // value's extent in `shapes` is a prefix of its planned region.
+            unsafe { run_node_on_slab(g, plan, shapes, i, slab_ptr, inputs) };
             if let Some(r) = rec.as_deref_mut() {
                 r.span(kind::NODE, i as u32, NO_TRACE, node_start, r.now_ns());
             }
@@ -213,13 +304,62 @@ impl Engine {
 
         for (slot, v) in self.outputs.iter_mut().zip(&g.outputs) {
             let off = plan.offset(*v).expect("graph output was not computed") / F32;
-            let len = g.value_numel(*v);
+            let len = slot.numel();
             slot.data_mut().copy_from_slice(&self.slab[off..off + len]);
         }
         if let Some(r) = rec {
             r.span(kind::RUN, NO_NODE, NO_TRACE, run_start, r.now_ns());
         }
         Ok(&self.outputs)
+    }
+}
+
+impl Engine {
+    /// The sample count `inputs` hold, validated against the plan: the
+    /// same count in every input, and a shape the plan can run.
+    fn extent_of(&self, inputs: &[Tensor]) -> Result<usize, ExecError> {
+        let shared = &self.shared;
+        let g = &shared.g;
+        if inputs.len() != g.inputs.len() {
+            return Err(ExecError::InputCountMismatch {
+                expected: g.inputs.len(),
+                got: inputs.len(),
+            });
+        }
+        let mut extent = None;
+        for (i, (&v, t)) in g.inputs.iter().zip(inputs).enumerate() {
+            match shared.extent_of(v, t.shape()) {
+                Some(n) if extent.is_none_or(|e| e == n) => extent = Some(n),
+                _ => {
+                    return Err(ExecError::InputShapeMismatch {
+                        index: i,
+                        name: g.values[v.0 as usize].name.clone(),
+                        expected: g.shape(v).to_vec(),
+                        got: t.shape().to_vec(),
+                    })
+                }
+            }
+        }
+        Ok(extent.unwrap_or(shared.batch))
+    }
+
+    /// Rewrite every value's and output's outermost extent for `extent`
+    /// samples. In place: no allocation, and nothing to do when the sample
+    /// count did not change.
+    fn set_extent(&mut self, extent: usize) {
+        if extent == self.extent {
+            return;
+        }
+        let rows = &self.shared.sample_rows;
+        for (shape, &r) in self.shapes.iter_mut().zip(rows) {
+            if let Some(outer) = shape.first_mut() {
+                *outer = r * extent;
+            }
+        }
+        for (t, v) in self.outputs.iter_mut().zip(&self.shared.g.outputs) {
+            t.resize_outer(rows[v.0 as usize] * extent);
+        }
+        self.extent = extent;
     }
 }
 
@@ -241,22 +381,29 @@ impl Engine {
 /// * [`NodeExec::Standard`] — the classic disjoint-region dispatch through
 ///   [`eval_into`].
 ///
+/// `shapes` holds every value's shape at the run's sample count, whose
+/// rows are a prefix of the value's planned region.
+///
 /// # Safety
 /// `slab_ptr` must point at a live allocation of at least
 /// `plan.slab_bytes` bytes that nothing else aliases for the duration of
-/// the call, and `plan` must be a validated plan for `g` (its `validate()`
-/// returned no violations).
+/// the call, `plan` must be a validated plan for `g` (its `validate()`
+/// returned no violations), and no shape in `shapes` may exceed the
+/// graph's own.
 unsafe fn run_node_on_slab(
     g: &Graph,
     plan: &AllocationPlan,
+    shapes: &[Vec<usize>],
     i: usize,
     slab_ptr: *mut f32,
     inputs: &[Tensor],
 ) {
     let node = &g.nodes[i];
+    let shape = |v: ValueId| -> &[usize] { &shapes[v.0 as usize] };
+    let numel = |v: ValueId| -> usize { shape(v).iter().product() };
     let out_off =
         plan.offset(node.output).expect("every node output is materialized — liveness bug") / F32;
-    let out_len = g.value_numel(node.output);
+    let out_len = numel(node.output);
 
     match &plan.node_exec[i] {
         NodeExec::InPlace { operand } => {
@@ -267,7 +414,7 @@ unsafe fn run_node_on_slab(
             match &node.op {
                 Op::Activation(kind) => kind.forward_inplace(buf),
                 Op::Affine { scale, bias } => {
-                    let sh = g.shape(node.output);
+                    let sh = shape(node.output);
                     affine_inplace(
                         buf,
                         g.weight(*scale).data(),
@@ -281,9 +428,7 @@ unsafe fn run_node_on_slab(
                     node.inputs.iter().enumerate().filter(|&(k, _)| k != *operand).map(
                         |(_, &v)| {
                             let off = plan.offset(v).expect("operand not materialized") / F32;
-                            unsafe {
-                                std::slice::from_raw_parts(slab_ptr.add(off), g.value_numel(v))
-                            }
+                            unsafe { std::slice::from_raw_parts(slab_ptr.add(off), numel(v)) }
                         },
                     ),
                     buf,
@@ -296,7 +441,7 @@ unsafe fn run_node_on_slab(
                 // the rank-3/4 values attention produces.
                 Op::Softmax => softmax_lastdim_inplace(
                     buf,
-                    *g.shape(node.output).last().expect("softmax output has rank >= 2"),
+                    *shape(node.output).last().expect("softmax output has rank >= 2"),
                 ),
                 Op::LayerNorm { scale, bias, eps } => {
                     layer_norm_inplace(buf, g.weight(*scale).data(), g.weight(*bias).data(), *eps)
@@ -308,9 +453,9 @@ unsafe fn run_node_on_slab(
             let v = node.inputs[0];
             let in_off = plan.offset(v).expect("operand not materialized") / F32;
             debug_assert_eq!(in_off, out_off, "overlap mode writes its input's prefix");
-            let sh = g.shape(v);
+            let sh = shape(v);
             let buf: &mut [f32] =
-                unsafe { std::slice::from_raw_parts_mut(slab_ptr.add(in_off), g.value_numel(v)) };
+                unsafe { std::slice::from_raw_parts_mut(slab_ptr.add(in_off), numel(v)) };
             match &node.op {
                 Op::Pool { kind: PoolKind::Max, kernel, stride } => {
                     max_pool2d_inplace(buf, sh[0], sh[1], sh[2], sh[3], *kernel, *stride)
@@ -326,12 +471,12 @@ unsafe fn run_node_on_slab(
             // Embedded operands already live at their slots; copy the rest.
             // Aliased concats only exist at batch 1, so each operand's slot
             // is one contiguous channel slice of the output.
-            let oshape = g.shape(node.output);
+            let oshape = shape(node.output);
             debug_assert_eq!(oshape[0], 1, "aliased concat implies batch 1");
             let plane: usize = oshape[2..].iter().product();
             let mut c_off = 0usize;
             for (j, &v) in node.inputs.iter().enumerate() {
-                let c = g.shape(v)[1];
+                let c = shape(v)[1];
                 if copy[j] {
                     let src = plan.offset(v).expect("operand not materialized") / F32;
                     unsafe {
@@ -369,7 +514,7 @@ unsafe fn run_node_on_slab(
                     let view = |v: ValueId| -> TensorView<'_> {
                         let off =
                             plan.offset(v).expect("operand not materialized — liveness bug") / F32;
-                        let len = g.value_numel(v);
+                        let len = numel(v);
                         debug_assert!(
                             out_off + out_len <= off || off + len <= out_off,
                             "plan aliased node '{}' output with an operand",
@@ -377,7 +522,7 @@ unsafe fn run_node_on_slab(
                         );
                         unsafe {
                             TensorView::new(
-                                g.shape(v),
+                                shape(v),
                                 std::slice::from_raw_parts(slab_ptr.add(off), len),
                             )
                         }
@@ -498,8 +643,12 @@ mod tests {
     use super::*;
 
     fn small_cnn() -> Graph {
+        small_cnn_at(2)
+    }
+
+    fn small_cnn_at(batch: usize) -> Graph {
         let mut g = Graph::new();
-        let x = g.input(&[2, 3, 8, 8], "x");
+        let x = g.input(&[batch, 3, 8, 8], "x");
         let c1 = g.conv2d(x, Tensor::randn(&[6, 3, 3, 3], 1), None, 1, 1, "c1");
         let r1 = g.relu(c1, "r1");
         let p1 = g.max_pool(r1, 2, 2, "p1");
@@ -536,5 +685,56 @@ mod tests {
         // Weights live once, in the shared graph; the per-worker state is
         // only the slab.
         assert!(a.graph().weights.shares_storage_with(&compiled.graph().weights));
+    }
+
+    #[test]
+    fn fewer_samples_run_as_a_prefix_of_the_full_batch_plan() {
+        let g = small_cnn_at(4);
+        let mut engine = Engine::new(g.clone()).unwrap();
+        assert_eq!(engine.compiled().batch(), 4);
+        let x = Tensor::randn(&[4, 3, 8, 8], 21);
+        // Every sample count, then back and forth, on one slab.
+        for n in [4usize, 1, 3, 2, 4, 1] {
+            let xn = Tensor::from_vec(&[n, 3, 8, 8], x.data()[..n * 3 * 64].to_vec());
+            let want = Engine::new(g.rebatch(n)).unwrap().run(std::slice::from_ref(&xn)).unwrap()
+                [0]
+            .clone();
+            let got = &engine.run(std::slice::from_ref(&xn)).unwrap()[0];
+            assert_eq!(got.shape(), &[n, 5]);
+            assert!(got.all_close(&want, 1e-6), "{n} samples: diff {}", got.max_abs_diff(&want));
+            assert_eq!(engine.compiled().shape_at(g.outputs[0], n), Some(vec![n, 5]));
+        }
+    }
+
+    #[test]
+    fn a_sample_count_the_plan_cannot_hold_is_a_shape_mismatch() {
+        let mut engine = Engine::new(small_cnn_at(4)).unwrap();
+        for bad in [[5, 3, 8, 8], [0, 3, 8, 8], [2, 3, 8, 9]] {
+            let err = engine.run(&[Tensor::zeros(&bad)]).unwrap_err();
+            assert_eq!(
+                err,
+                ExecError::InputShapeMismatch {
+                    index: 0,
+                    name: "x".into(),
+                    expected: vec![4, 3, 8, 8],
+                    got: bad.to_vec(),
+                }
+            );
+        }
+        assert_eq!(engine.compiled().shape_at(engine.graph().inputs[0], 5), None);
+    }
+
+    #[test]
+    fn a_batch_folding_graph_runs_only_its_full_batch() {
+        // `xᵀ·x` contracts over the batch: its output is not a per-sample
+        // prefix, so the plan must refuse fewer samples.
+        let mut g = Graph::new();
+        let x = g.input(&[3, 4], "x");
+        let y = g.matmul(x, x, true, false, "gram");
+        g.mark_output(y);
+        g.infer_shapes();
+        let mut engine = Engine::new(g).unwrap();
+        assert!(engine.run(&[Tensor::zeros(&[3, 4])]).is_ok());
+        assert!(engine.run(&[Tensor::zeros(&[1, 4])]).is_err());
     }
 }

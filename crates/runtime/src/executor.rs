@@ -17,9 +17,11 @@
 //!   agree step by step on random graphs and on the model zoo.
 //!
 //! Graph and input validation is written once, here (`check_graph`,
-//! `check_inputs`); [`CompiledGraph::new`], [`Engine::run`] and the
-//! per-node path all call it, so every entry point reports the same typed
-//! [`ExecError`] for the same malformed case.
+//! `check_inputs`); [`CompiledGraph::new`], `execute` and the per-node
+//! path all call it, so every entry point reports the same typed
+//! [`ExecError`] for the same malformed case. [`Engine::run`] reports the
+//! same errors, and also accepts inputs with fewer samples than the plan's
+//! batch.
 
 use std::fmt;
 use std::sync::Arc;
@@ -179,6 +181,9 @@ pub fn execute(g: &Graph, inputs: &[Tensor], opts: ExecOptions) -> Result<ExecRe
     match opts.mode {
         ExecMode::Slab => {
             let compiled = CompiledGraph::with_alias(g.clone(), opts.alias, &[])?;
+            // One-shot runs take exactly the graph's shapes, as the
+            // per-node path does; only a kept engine runs fewer samples.
+            check_inputs(g, inputs)?;
             let (slab_bytes, scratch_bytes) = (compiled.slab_bytes(), compiled.scratch_bytes());
             let mut engine = Engine::from_compiled(Arc::new(compiled));
             let start = Instant::now();
@@ -227,8 +232,7 @@ pub(crate) fn check_graph(g: &Graph) -> Result<(), ExecError> {
 }
 
 /// The caller's tensors match `Graph::inputs` in count and shape. Builds
-/// nothing on success (the warm [`Engine::run`] path stays allocation-free);
-/// only a mismatch report allocates.
+/// nothing on success; only a mismatch report allocates.
 pub(crate) fn check_inputs(g: &Graph, inputs: &[Tensor]) -> Result<(), ExecError> {
     if inputs.len() != g.inputs.len() {
         return Err(ExecError::InputCountMismatch { expected: g.inputs.len(), got: inputs.len() });

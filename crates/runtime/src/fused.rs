@@ -49,7 +49,8 @@ struct Partition {
     jobs: usize,
     /// Per-slot floats of the staged pre-pool activations `[c_full, rows, width]`.
     staged: usize,
-    /// Per-slot floats of the pooled tile `[c_full, rows, cols]`.
+    /// Per-slot floats of the pooled tile `[c_full, rows, cols]` (pool
+    /// only: without one, the staged activations are the pooled tile).
     pooled: usize,
     /// Per-slot floats of the reduced tile `[channels, rows, cols]` (fconv only).
     reduced: usize,
@@ -71,7 +72,7 @@ impl Partition {
             grid,
             jobs: geo.n * grid.iter().product::<usize>(),
             staged: geo.c_full * footprint(geo, rows) * width,
-            pooled: geo.c_full * rows * cols,
+            pooled: if geo.pool { geo.c_full * rows * cols } else { 0 },
             reduced: if geo.fconv { tc.min(geo.c_out) * rows * cols } else { 0 },
         }
     }
@@ -469,16 +470,18 @@ mod tests {
     fn scratch_breakdown_is_pinned() {
         // (n, h, w, c_full, c_out, pool, fconv, tile) → (jobs, per-slot
         // floats), pinned from the separate strip and tiled bodies' formulas
-        // that the one body replaced. An oversubscription beyond the job
-        // count makes `slots` the job count on any machine.
+        // that the one body replaced; the rows without a pool reserve no
+        // pooled arena (`c_full × rows × cols` less than those formulas).
+        // An oversubscription beyond the job count makes `slots` the job
+        // count on any machine.
         type Row =
             (usize, usize, usize, usize, usize, Option<(usize, usize)>, bool, usize, usize, usize);
         #[rustfmt::skip]
         let table: &[Row] = &[
-            (1, 8, 8, 16, 4, None, true, 0, 8, 288),
-            (1, 8, 8, 16, 4, None, true, 1, 256, 33),
-            (1, 8, 8, 16, 4, None, true, 3, 18, 315),
-            (1, 8, 8, 16, 4, None, true, 8, 1, 2304),
+            (1, 8, 8, 16, 4, None, true, 0, 8, 160),
+            (1, 8, 8, 16, 4, None, true, 1, 256, 17),
+            (1, 8, 8, 16, 4, None, true, 3, 18, 171),
+            (1, 8, 8, 16, 4, None, true, 8, 1, 1280),
             (2, 8, 8, 16, 4, Some((2, 2)), true, 0, 8, 336),
             (2, 8, 8, 16, 4, Some((2, 2)), true, 1, 128, 81),
             (2, 8, 8, 16, 4, Some((2, 2)), true, 3, 16, 747),
@@ -492,18 +495,18 @@ mod tests {
             (1, 9, 11, 10, 10, Some((2, 2)), false, 1, 200, 50),
             (1, 9, 11, 10, 10, Some((2, 2)), false, 3, 16, 450),
             (1, 9, 11, 10, 10, Some((2, 2)), false, 8, 2, 1000),
-            (1, 7, 7, 12, 12, None, false, 0, 7, 168),
-            (1, 7, 7, 12, 12, None, false, 1, 588, 24),
-            (1, 7, 7, 12, 12, None, false, 3, 36, 216),
-            (1, 7, 7, 12, 12, None, false, 8, 2, 1176),
+            (1, 7, 7, 12, 12, None, false, 0, 7, 84),
+            (1, 7, 7, 12, 12, None, false, 1, 588, 12),
+            (1, 7, 7, 12, 12, None, false, 3, 36, 108),
+            (1, 7, 7, 12, 12, None, false, 8, 2, 588),
             (2, 13, 13, 24, 6, Some((3, 2)), true, 0, 12, 1116),
             (2, 13, 13, 24, 6, Some((3, 2)), true, 1, 432, 241),
             (2, 13, 13, 24, 6, Some((3, 2)), true, 3, 16, 1419),
             (2, 13, 13, 24, 6, Some((3, 2)), true, 8, 2, 5136),
-            (1, 56, 56, 64, 16, None, true, 0, 56, 8064),
-            (1, 56, 56, 64, 16, None, true, 1, 50176, 129),
-            (1, 56, 56, 64, 16, None, true, 3, 2166, 1179),
-            (1, 56, 56, 64, 16, None, true, 8, 98, 8704),
+            (1, 56, 56, 64, 16, None, true, 0, 56, 4480),
+            (1, 56, 56, 64, 16, None, true, 1, 50176, 65),
+            (1, 56, 56, 64, 16, None, true, 3, 2166, 603),
+            (1, 56, 56, 64, 16, None, true, 8, 98, 4608),
         ];
         for &(n, h, w, c_full, c_out, pool, fconv, tile, jobs, per_slot) in table {
             let geo = FusedGeometry::new(&[n, 3, h, w], c_full, fconv.then_some(c_out), pool);

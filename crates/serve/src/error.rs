@@ -55,21 +55,11 @@ impl std::error::Error for ServeError {}
 pub enum BuildError {
     /// The graph is structurally unservable (inputs/outputs arity).
     Unsupported(String),
-    /// Re-batching the graph to a bucket size failed (degenerate shapes,
+    /// Re-batching the graph to `max_batch` failed (degenerate shapes,
     /// scalar inputs, …).
-    Rebatch {
-        /// The bucket batch size whose re-batching failed.
-        bucket: usize,
-        /// The underlying shape error.
-        source: temco_ir::ShapeError,
-    },
-    /// Compiling a batch-size bucket failed.
-    Compile {
-        /// The bucket batch size whose compilation failed.
-        bucket: usize,
-        /// The underlying engine error.
-        source: ExecError,
-    },
+    Rebatch(temco_ir::ShapeError),
+    /// Compiling the `max_batch` plan failed.
+    Compile(ExecError),
     /// Spawning a serving worker thread failed (resource exhaustion). The
     /// server tears down any workers already started and reports this as
     /// a recoverable error instead of panicking mid-construction.
@@ -85,11 +75,9 @@ impl fmt::Display for BuildError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             BuildError::Unsupported(why) => write!(f, "model not servable: {why}"),
-            BuildError::Rebatch { bucket, source } => {
-                write!(f, "re-batching to batch-size-{bucket} bucket failed: {source}")
-            }
-            BuildError::Compile { bucket, source } => {
-                write!(f, "compiling batch-size-{bucket} bucket failed: {source}")
+            BuildError::Rebatch(source) => write!(f, "re-batching to max_batch failed: {source}"),
+            BuildError::Compile(source) => {
+                write!(f, "compiling the max_batch plan failed: {source}")
             }
             BuildError::Spawn { worker, source } => {
                 write!(f, "spawning serving worker {worker} failed: {source}")
@@ -102,8 +90,8 @@ impl std::error::Error for BuildError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             BuildError::Unsupported(_) => None,
-            BuildError::Rebatch { source, .. } => Some(source),
-            BuildError::Compile { source, .. } => Some(source),
+            BuildError::Rebatch(source) => Some(source),
+            BuildError::Compile(source) => Some(source),
             BuildError::Spawn { source, .. } => Some(source),
         }
     }

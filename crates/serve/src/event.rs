@@ -15,7 +15,7 @@
 //!   `shards × (queue_cap + max_batch)`: exactly the work the fleet can
 //!   hold. Pool exhausted ⇒ reject with a prebuilt `QUEUE_FULL` frame and
 //!   a cause-labeled counter, allocation-free. Completions recycle the
-//!   triple through [`Slot::try_recycle`].
+//!   triple through `Slot::try_recycle`.
 //! * **Wakeups, not polling** — workers fire the server's batch hook
 //!   (an eventfd write) after every settled batch; the loop wakes, pumps
 //!   finished slots into per-connection write buffers, and flushes.

@@ -6,19 +6,20 @@
 //! keeps the runtime's central invariant — static planning, zero
 //! steady-state allocation — intact under concurrency:
 //!
-//! * **Shared constants** — the server compiles the model once per
-//!   batch-size bucket (1, 2, 4, …, `max_batch`) into `Arc`'d
-//!   [`CompiledGraph`](temco_runtime::CompiledGraph)s. Buckets are
-//!   [`Graph::rebatch`](temco_ir::Graph::rebatch) clones sharing one
-//!   copy-on-write weight store, so N workers × B buckets reference one
-//!   copy of the weights; each worker privately owns only its slabs.
+//! * **One shared plan** — the server compiles the model once, at
+//!   `max_batch`, into an `Arc`'d
+//!   [`CompiledGraph`](temco_runtime::CompiledGraph). It is a
+//!   [`Graph::rebatch`](temco_ir::Graph::rebatch) clone sharing the source
+//!   graph's copy-on-write weight store, so N workers reference one copy
+//!   of the weights; each worker privately owns only one slab.
 //! * **Dynamic batching, sharded** — single-sample requests route by
 //!   two-choice load balancing onto per-worker bounded queues; each
 //!   worker gathers up to `max_batch` of them within a `max_delay`
-//!   window, pads to the smallest bucket ≥ the gathered count, and runs
-//!   that bucket's precompiled engine. The hot path never plans and
-//!   never heap-allocates (requests carry preallocated response
-//!   buffers; staging tensors and the gather buffer are reused).
+//!   window and runs exactly the n it gathered on the one plan: every op
+//!   keeps the batch as its outermost index, so n samples are a prefix of
+//!   each planned region, and no row is padded. The hot path never plans
+//!   and never heap-allocates (requests carry preallocated response
+//!   buffers; the staging tensor and the gather buffer are reused).
 //! * **Event-driven connection plane** — on x86-64 Linux, [`serve`]
 //!   multiplexes every socket onto one epoll thread (raw syscalls, no
 //!   libc binding): preallocated per-connection frame buffers, a pooled

@@ -1,13 +1,15 @@
-//! The server: plan cache, sharded request queues, worker threads,
+//! The server: one shared plan, sharded request queues, worker threads,
 //! lifecycle.
 //!
 //! `Server::new` does all the expensive work up front — it compiles the
-//! model once per batch-size bucket (1, 2, 4, …, `max_batch`) into a
-//! shared, immutable plan cache. Buckets are `Graph::rebatch` clones, so
-//! all of them (and every worker) reference **one** copy of the weights;
-//! a worker's only private memory is its slabs. After startup the hot
-//! path never plans: a gathered batch of n requests pads to the smallest
-//! bucket ≥ n and runs that bucket's precompiled engine.
+//! model once, at `max_batch`, into one shared, immutable plan
+//! (`Graph::rebatch` shares the source graph's weights, so every worker
+//! references **one** copy of them). A worker's only private memory is
+//! that plan's slab. After startup the hot path never plans: a gathered
+//! batch of n ≤ `max_batch` requests runs on the plan's offsets with the
+//! kernels given the real n, because every IR op keeps the batch as its
+//! outermost index and a batch-n value is the prefix of its batch-max
+//! region. No row is padded.
 //!
 //! Requests are **sharded**: each worker owns a private bounded queue
 //! (`queue_cap` deep) and drains only it — no cross-worker contention on
@@ -41,7 +43,7 @@ pub struct ServeConfig {
     /// Worker threads. `0` spawns none — drive inference manually with
     /// [`Server::manual_worker`] (synchronous embedding, tests).
     pub workers: usize,
-    /// Largest executed batch (and largest plan-cache bucket).
+    /// Largest executed batch: the batch the one plan is compiled for.
     pub max_batch: usize,
     /// How long a worker holds an incomplete batch open for late arrivals.
     pub max_delay: Duration,
@@ -87,10 +89,8 @@ pub(crate) struct Core {
     /// Round-robin cursor for two-choice routing.
     rr: AtomicUsize,
     pub stats: Stats,
-    /// Bucket batch sizes, ascending; the last equals `cfg.max_batch`.
-    pub buckets: Vec<usize>,
-    /// Precompiled plan per bucket (parallel to `buckets`).
-    pub plans: Vec<Arc<CompiledGraph>>,
+    /// The model compiled at `cfg.max_batch`; every worker runs it.
+    pub plan: Arc<CompiledGraph>,
     /// Per-sample input shape, `[1, …]`.
     pub sample_shape: Vec<usize>,
     /// Per-sample output shape, `[1, …]`.
@@ -201,23 +201,10 @@ pub struct Server {
     inner: Arc<Inner>,
 }
 
-/// Power-of-two bucket ladder `1, 2, 4, …` capped and topped by
-/// `max_batch` itself.
-fn bucket_ladder(max_batch: usize) -> Vec<usize> {
-    let mut buckets = Vec::new();
-    let mut b = 1;
-    while b < max_batch {
-        buckets.push(b);
-        b *= 2;
-    }
-    buckets.push(max_batch);
-    buckets
-}
-
 impl Server {
-    /// Compile `graph` into the bucketed plan cache and start
-    /// `cfg.workers` worker threads. The graph may have been built at any
-    /// batch size — it is re-batched per bucket, sharing its weights.
+    /// Compile `graph` at `cfg.max_batch` and start `cfg.workers` worker
+    /// threads. The graph may have been built at any batch size — it is
+    /// re-batched, sharing its weights.
     pub fn new(graph: Graph, cfg: ServeConfig) -> Result<Server, BuildError> {
         if cfg.max_batch == 0 {
             return Err(BuildError::Unsupported("max_batch must be positive".into()));
@@ -233,27 +220,19 @@ impl Server {
             )));
         }
 
-        let buckets = bucket_ladder(cfg.max_batch);
-        let mut plans = Vec::with_capacity(buckets.len());
-        for &b in &buckets {
-            let bucketed =
-                graph.try_rebatch(b).map_err(|source| BuildError::Rebatch { bucket: b, source })?;
-            debug_assert!(bucketed.weights.shares_storage_with(&graph.weights));
-            plans.push(Arc::new(
-                CompiledGraph::new(bucketed)
-                    .map_err(|source| BuildError::Compile { bucket: b, source })?,
+        let batched = graph.try_rebatch(cfg.max_batch).map_err(BuildError::Rebatch)?;
+        debug_assert!(batched.weights.shares_storage_with(&graph.weights));
+        let plan = Arc::new(CompiledGraph::new(batched).map_err(BuildError::Compile)?);
+        let g = plan.graph();
+        let (input, output) = (g.inputs[0], g.outputs[0]);
+        let (Some(sample_shape), Some(output_shape)) =
+            (plan.shape_at(input, 1), plan.shape_at(output, 1))
+        else {
+            return Err(BuildError::Unsupported(
+                "the batch is not the outermost extent of every value".into(),
             ));
-        }
-
-        let (sample_shape, output_shape, input_name) = {
-            let g1 = plans[0].graph();
-            let input = g1.inputs[0];
-            (
-                g1.shape(input).to_vec(),
-                g1.shape(g1.outputs[0]).to_vec(),
-                g1.values[input.0 as usize].name.clone(),
-            )
         };
+        let input_name = g.values[input.0 as usize].name.clone();
         let n_shards = cfg.workers.max(1);
         let flight = Arc::new(FlightRecorder::with_capacity(cfg.flight_capacity));
         let stats = Stats::new(cfg.max_batch, cfg.workers, cfg.slo);
@@ -262,8 +241,7 @@ impl Server {
             shards: (0..n_shards).map(|_| JobQueue::new(cfg.queue_cap)).collect(),
             rr: AtomicUsize::new(0),
             stats,
-            buckets,
-            plans,
+            plan,
             sample_numel: sample_shape.iter().product(),
             output_numel: output_shape.iter().product(),
             sample_shape,
@@ -277,9 +255,9 @@ impl Server {
             panic_dump: RwLock::new(None),
         });
 
-        // Every worker allocates one slab per bucket; everything else
-        // (weights, plans, graph structure) is shared.
-        let slab_bytes_per_worker: usize = core.plans.iter().map(|p| p.slab_bytes()).sum();
+        // Every worker allocates the plan's slab; everything else (weights,
+        // plan, graph structure) is shared.
+        let slab_bytes_per_worker = core.plan.slab_bytes();
         core.stats.workers.set(cfg.workers as f64);
         core.stats.slab_bytes_per_worker.set(slab_bytes_per_worker as f64);
         let mut handles: Vec<JoinHandle<()>> = Vec::with_capacity(cfg.workers);
@@ -398,7 +376,6 @@ impl Server {
             deadline_expired: st.deadline_expired.get(),
             failed_shutdown: st.failed_shutdown.get(),
             batches: st.batches.get(),
-            batch_slots: st.batch_slots.get(),
             bytes_moved: st.bytes_moved.get(),
             queue_depth: core.queue_depth(),
             latency_buckets: st.latency_histogram(),
@@ -443,12 +420,11 @@ impl Server {
 
     /// Render the flight recorder as a linked chrome://tracing document
     /// (process/thread metadata, per-request flow arrows). Engine `NODE`
-    /// spans are named after their graph node — the node id space is
-    /// shared across buckets because rebatching preserves structure.
-    /// Served over the wire as the `DUMP` opcode; cold path, allocates.
+    /// spans are named after their graph node. Served over the wire as the
+    /// `DUMP` opcode; cold path, allocates.
     pub fn flight_dump_json(&self) -> String {
         let core = &self.inner.core;
-        let g = core.plans[0].graph();
+        let g = core.plan.graph();
         chrome_trace(core.flight.snapshot().iter(), |e| match e.kind {
             kind::NODE => g
                 .nodes
@@ -509,14 +485,15 @@ impl Server {
         &self.inner.core.output_shape
     }
 
-    /// The bucket ladder of the plan cache.
+    /// The batch sizes the server holds a plan for: `[max_batch]`, the one
+    /// plan every batch of up to `max_batch` requests runs on.
     pub fn buckets(&self) -> &[usize] {
-        &self.inner.core.buckets
+        std::slice::from_ref(&self.inner.core.cfg.max_batch)
     }
 
-    /// A manually-stepped worker over this server's first shard and plan
-    /// cache. Use with `workers: 0` for synchronous embedding or
-    /// deterministic tests; see [`Worker::step`].
+    /// A manually-stepped worker over this server's first shard and plan.
+    /// Use with `workers: 0` for synchronous embedding or deterministic
+    /// tests; see [`Worker::step`].
     pub fn manual_worker(&self) -> Worker {
         Worker::new(self.inner.core.clone(), 0)
     }

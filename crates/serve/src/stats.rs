@@ -12,9 +12,8 @@
 //! interpolate linearly inside the winning bucket
 //! ([`temco_obs::percentile_log2_us`]), so the steady state keeps no
 //! per-request state at all. Batch sizes feed a fixed histogram (index =
-//! executed size − 1) and `batch_slots` accumulates the capacity of the
-//! buckets actually run, which makes batch-window occupancy
-//! (`batched requests / slots run`) a two-counter division.
+//! executed size − 1, one entry per size up to `max_batch`), from which
+//! batch-window occupancy is the mean executed size over `max_batch`.
 //!
 //! The same instruments are registered in a [`Registry`], so the
 //! Prometheus text scrape (`METRICS` opcode, `Server::prometheus_metrics`)
@@ -59,12 +58,9 @@ pub(crate) struct Stats {
     /// worker remained to drain them (manual-worker mode).
     pub failed_shutdown: Arc<Counter>,
     pub batches: Arc<Counter>,
-    /// Sum of executed buckets' capacities — the denominator of
-    /// batch-window occupancy.
-    pub batch_slots: Arc<Counter>,
     /// Bytes copied by executed batches (each engine run adds its plan's
-    /// `bytes_moved`: input staging plus concat/flatten copies the alias
-    /// analysis could not eliminate).
+    /// `bytes_moved` for the rows it ran: input staging plus concat/flatten
+    /// copies the alias analysis could not eliminate).
     pub bytes_moved: Arc<Counter>,
     /// Requests currently queued; refreshed at scrape time.
     pub queue_depth: Arc<Gauge>,
@@ -191,20 +187,14 @@ impl Stats {
                 &[("cause", "shutdown_undrained")],
             ),
             batches: r.counter("temco_batches_total", "Engine runs (one per executed batch)."),
-            batch_slots: r.counter(
-                "temco_batch_slots_total",
-                "Capacity of the buckets executed; occupancy denominator.",
-            ),
             bytes_moved: r.counter(
                 "temco_bytes_moved_total",
                 "Bytes copied by executed batches (staging + unaliased concat/flatten copies).",
             ),
             queue_depth: r.gauge("temco_queue_depth", "Requests waiting in the queue."),
             workers: r.gauge("temco_workers", "Worker threads serving this instance."),
-            slab_bytes_per_worker: r.gauge(
-                "temco_slab_bytes_per_worker",
-                "Slab bytes each worker holds across its bucket engines.",
-            ),
+            slab_bytes_per_worker: r
+                .gauge("temco_slab_bytes_per_worker", "Slab bytes each worker's engine holds."),
             conns_accepted: r
                 .counter("temco_conns_accepted_total", "Connections admitted to the event loop."),
             conns_refused: r.counter(
@@ -298,11 +288,9 @@ impl Stats {
         }
     }
 
-    /// Record one executed batch of `n` requests run on a bucket of
-    /// `slots` capacity.
-    pub fn record_batch(&self, n: usize, slots: usize) {
+    /// Record one executed batch of `n` requests.
+    pub fn record_batch(&self, n: usize) {
         self.batches.inc();
-        self.batch_slots.add(slots as u64);
         self.batch_sizes[(n - 1).min(self.batch_sizes.len() - 1)].fetch_add(1, Relaxed);
     }
 
@@ -337,9 +325,8 @@ impl Stats {
         let sizes = self.batch_histogram();
         let total: u64 = sizes.iter().sum();
         let batched: u64 = sizes.iter().enumerate().map(|(i, &c)| (i as u64 + 1) * c).sum();
-        let slots = self.batch_slots.get();
-        let occupancy = if slots == 0 { 0.0 } else { batched as f64 / slots as f64 };
-        out.push_str("# HELP temco_batch_window_occupancy Executed requests / executed slots.\n");
+        let occupancy = occupancy(&sizes);
+        out.push_str("# HELP temco_batch_window_occupancy Mean executed batch / max batch.\n");
         out.push_str("# TYPE temco_batch_window_occupancy gauge\n");
         out.push_str(&format!("temco_batch_window_occupancy {occupancy}\n"));
         out.push_str("# HELP temco_batch_size Executed batch sizes.\n");
@@ -357,6 +344,17 @@ impl Stats {
         out.push_str(&format!("temco_batch_size_count {total}\n"));
         out
     }
+}
+
+/// Mean executed batch size over the largest (the histogram's length, one
+/// entry per size up to `max_batch`); 0 before any batch ran.
+fn occupancy(batch_size_hist: &[u64]) -> f64 {
+    let total: u64 = batch_size_hist.iter().sum();
+    if total == 0 {
+        return 0.0;
+    }
+    let batched: u64 = batch_size_hist.iter().enumerate().map(|(i, &c)| (i as u64 + 1) * c).sum();
+    batched as f64 / (total * batch_size_hist.len() as u64) as f64
 }
 
 /// Bucket index a latency lands in — the obs crate's log2-µs mapping,
@@ -393,10 +391,8 @@ pub struct StatsSnapshot {
     pub failed_shutdown: u64,
     /// Engine runs (one per executed batch).
     pub batches: u64,
-    /// Summed capacity of the buckets executed (occupancy denominator).
-    pub batch_slots: u64,
-    /// Bytes copied by executed batches (per-batch plan `bytes_moved`,
-    /// accumulated).
+    /// Bytes copied by executed batches (the plan's `bytes_moved` for the
+    /// rows each batch ran, accumulated).
     pub bytes_moved: u64,
     /// Requests currently waiting in the queue.
     pub queue_depth: usize,
@@ -407,12 +403,13 @@ pub struct StatsSnapshot {
     pub queue_wait_buckets: Vec<u64>,
     /// Compute time (batch start → response), same bucket layout.
     pub service_buckets: Vec<u64>,
-    /// Executed-batch-size counts; index `size − 1`.
+    /// Executed-batch-size counts; index `size − 1`, one entry per size up
+    /// to `max_batch`.
     pub batch_size_hist: Vec<u64>,
     /// Worker threads serving this instance.
     pub workers: usize,
-    /// Slab bytes each worker holds across its bucket engines (the only
-    /// per-worker memory; weights are shared).
+    /// Slab bytes each worker's engine holds (the only per-worker memory;
+    /// weights are shared).
     pub slab_bytes_per_worker: usize,
     /// Per-worker-shard queue depths (parallel to the shards; sums to
     /// `queue_depth`).
@@ -461,15 +458,10 @@ impl StatsSnapshot {
         weighted as f64 / total as f64
     }
 
-    /// Batch-window occupancy: executed requests over executed slots
+    /// Batch-window occupancy: mean executed batch over `max_batch`
     /// (1.0 = every batch ran completely full; 0 before any batch ran).
     pub fn batch_occupancy(&self) -> f64 {
-        if self.batch_slots == 0 {
-            return 0.0;
-        }
-        let batched: u64 =
-            self.batch_size_hist.iter().enumerate().map(|(i, &c)| (i as u64 + 1) * c).sum();
-        batched as f64 / self.batch_slots as f64
+        occupancy(&self.batch_size_hist)
     }
 
     /// End-to-end latency percentile (`p` in 0..=100), linearly
@@ -581,7 +573,6 @@ mod tests {
             deadline_expired: st.deadline_expired.get(),
             failed_shutdown: st.failed_shutdown.get(),
             batches: st.batches.get(),
-            batch_slots: st.batch_slots.get(),
             bytes_moved: st.bytes_moved.get(),
             queue_depth: 0,
             latency_buckets: st.latency_histogram(),
@@ -685,10 +676,10 @@ mod tests {
         for _ in 0..10 {
             st.record_latency(Duration::from_micros(100_000)); // bucket 17
         }
-        st.record_batch(1, 1);
-        st.record_batch(8, 8);
-        st.record_batch(8, 8);
-        st.record_batch(40, 8); // defensive: size clamps to the top bucket
+        st.record_batch(1);
+        st.record_batch(8);
+        st.record_batch(8);
+        st.record_batch(40); // defensive: size clamps to the top bucket
         for _ in 0..100 {
             st.submitted.inc();
         }
@@ -700,8 +691,8 @@ mod tests {
         assert_eq!(snap.batch_size_hist[0], 1);
         assert_eq!(snap.batch_size_hist[7], 3);
         assert!((snap.mean_batch_size() - 25.0 / 4.0).abs() < 1e-9);
-        // 1+8+8+40 requests over 1+8+8+40 slots: fully occupied.
-        assert!((snap.batch_occupancy() - 1.0).abs() < 1e-9);
+        // A mean batch of 25/4 out of 8.
+        assert!((snap.batch_occupancy() - 25.0 / 32.0).abs() < 1e-9);
         let text = snap.render();
         assert!(text.contains("mean size"));
         assert!(text.contains("p99"));
@@ -716,7 +707,7 @@ mod tests {
         st.queue_wait.record(Duration::from_micros(100));
         st.service.record(Duration::from_micros(2000));
         st.record_latency(Duration::from_micros(2100));
-        st.record_batch(3, 4);
+        st.record_batch(3);
         st.bytes_moved.add(4096);
         st.workers.set(2.0);
         let text = st.render_prometheus(&[7]);
@@ -730,11 +721,11 @@ mod tests {
         assert!(text.contains("temco_queue_wait_seconds_count 1"));
         assert!(text.contains("temco_service_time_seconds_count 1"));
         assert!(text.contains("temco_request_latency_seconds_count 1"));
-        // Batch occupancy 3/4 and the integer-bucketed size histogram.
-        assert!(text.contains("temco_batch_window_occupancy 0.75"));
+        // Batch occupancy 3/8 and the integer-bucketed size histogram.
+        assert!(text.contains("temco_batch_window_occupancy 0.375"));
         assert!(text.contains("temco_batch_size_bucket{le=\"3\"} 1"));
         assert!(text.contains("temco_batch_size_bucket{le=\"+Inf\"} 1"));
-        assert!(text.contains("temco_batch_slots_total 4"));
+        assert!(!text.contains("temco_batch_slots_total"));
         assert!(text.contains("temco_bytes_moved_total 4096"));
     }
 }

@@ -9,8 +9,8 @@
 //! connection plane: completion hands the request's input tensor back
 //! through the slot (`complete_ok_returning` / `complete_err_returning`),
 //! and the error path keeps the preallocated output buffer instead of
-//! dropping it. The event loop reclaims both with [`Slot::try_recycle`]
-//! and re-arms the slot for the next request with [`Slot::rearm`], so a
+//! dropping it. The event loop reclaims both with `Slot::try_recycle`
+//! and re-arms the slot for the next request with `Slot::rearm`, so a
 //! pooled request context cycles through accept → execute → respond
 //! without ever touching the heap.
 

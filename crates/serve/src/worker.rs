@@ -1,17 +1,16 @@
-//! The batching worker: gather → bucket → pad → run → scatter.
+//! The batching worker: gather → stage → run → scatter.
 //!
-//! Each worker owns one [`Engine`] (private slab) per batch-size bucket,
-//! all sharing the server's [`temco_runtime::CompiledGraph`] plan cache — so a batch of
-//! any admitted size executes on a precompiled plan, and the hot loop
-//! never plans, never compiles, and never heap-allocates:
+//! Each worker owns one [`Engine`] (a private slab) over the server's
+//! shared plan, compiled at `max_batch`, and one staging tensor. A batch
+//! of any admitted size n runs on that plan with n samples, so the hot
+//! loop never plans, never compiles, never pads, and never
+//! heap-allocates:
 //!
 //! * gathered jobs move into a preallocated `Vec` (capacity `max_batch`),
-//! * samples are copied into the bucket's preallocated staging tensor
-//!   (padding rows zeroed; per-sample outputs are batch-independent for
-//!   every op in the IR, so padding never leaks into real rows),
-//! * the bucket engine runs zero-alloc on its slab,
+//! * samples are copied into the first n rows of the staging tensor,
+//! * the engine runs those n rows zero-alloc on the plan's offsets,
 //! * output rows are scattered into each request's preallocated response
-//!   buffer ([`crate::ticket::Slot`]).
+//!   buffer (see [`crate::ticket`]).
 //!
 //! Each worker drains exactly one shard queue, so a busy worker never
 //! contends with its siblings on a shared lock. Completions go through
@@ -78,10 +77,11 @@ pub struct Worker {
     core: Arc<Core>,
     /// Which shard queue this worker drains (also its stats index).
     shard: usize,
-    /// Per-bucket engines, parallel to `core.buckets`.
-    engines: Vec<Engine>,
-    /// Per-bucket staging input tensors, `[bucket, …]`.
-    staging: Vec<Tensor>,
+    /// The engine over the server's plan.
+    engine: Engine,
+    /// Staging input tensor, `[n, …]` for the batch being run (capacity
+    /// `max_batch` samples).
+    staging: Tensor,
     /// Gather buffer, capacity `max_batch`, reused every step.
     batch: Vec<Job>,
     /// Swap space for the deadline shed (keeps live jobs while expired
@@ -96,24 +96,21 @@ pub struct Worker {
 
 impl Worker {
     pub(crate) fn new(core: Arc<Core>, shard: usize) -> Worker {
-        let engines: Vec<Engine> =
-            core.plans.iter().map(|p| Engine::from_compiled(p.clone())).collect();
-        let staging =
-            engines.iter().map(|e| Tensor::zeros(e.graph().shape(e.graph().inputs[0]))).collect();
+        let engine = Engine::from_compiled(core.plan.clone());
+        let staging = Tensor::zeros(engine.graph().shape(engine.graph().inputs[0]));
         let max_batch = core.cfg.max_batch;
         let batch = Vec::with_capacity(max_batch);
         let keep = Vec::with_capacity(max_batch);
         // One batch: a NODE span per node plus RUN, up to three records
         // per member (QUEUE, MEMBER, DEADLINE), and GATHER, STAGE,
         // BATCH_RUN, SCATTER.
-        let nodes = engines.iter().map(|e| e.graph().nodes.len()).max().unwrap_or(0);
-        let ring = core.flight.recorder(nodes + 1 + 3 * max_batch + 4);
-        Worker { core, shard, engines, staging, batch, keep, ring, batch_trace: NO_TRACE }
+        let ring = core.flight.recorder(engine.graph().nodes.len() + 1 + 3 * max_batch + 4);
+        Worker { core, shard, engine, staging, batch, keep, ring, batch_trace: NO_TRACE }
     }
 
-    /// Total slab bytes this worker holds across its bucket engines.
+    /// Slab bytes this worker holds: its engine's.
     pub fn slab_bytes(&self) -> usize {
-        self.engines.iter().map(Engine::slab_bytes).sum()
+        self.engine.slab_bytes()
     }
 
     fn queue(&self) -> &crate::queue::JobQueue {
@@ -195,13 +192,6 @@ impl Worker {
             return StepOutcome::Idle;
         }
 
-        let bi = self
-            .core
-            .buckets
-            .iter()
-            .position(|&b| b >= n)
-            .expect("max_batch is always the last bucket");
-        let bucket = self.core.buckets[bi] as u32;
         let batch_id = batch_id_of(self.batch_trace);
         // Everything queued before this instant is queue wait; everything
         // after is service (stage + run + scatter).
@@ -216,33 +206,35 @@ impl Worker {
         // (and the engine's RUN/NODE spans) with the batch trace, so a
         // request is traceable down to the node level.
         let sample_len = self.core.sample_numel;
-        {
-            let staged = self.staging[bi].data_mut();
-            for (i, job) in self.batch.iter().enumerate() {
-                staged[i * sample_len..(i + 1) * sample_len].copy_from_slice(job.input.data());
-            }
-            staged[n * sample_len..].fill(0.0);
+        self.staging.resize_outer(n);
+        let staged = self.staging.data_mut();
+        for (row, job) in staged.chunks_exact_mut(sample_len).zip(&self.batch) {
+            row.copy_from_slice(job.input.data());
         }
         let stage_end_ns = ring.now_ns();
-        ring.span(kind::STAGE, bucket, NO_TRACE, exec_ns, stage_end_ns);
-        let outs = self.engines[bi]
-            .run_recorded(std::slice::from_ref(&self.staging[bi]), ring)
-            .expect("bucket plan validated at server construction");
+        ring.span(kind::STAGE, n as u32, NO_TRACE, exec_ns, stage_end_ns);
+        let outs = self
+            .engine
+            .run_recorded(std::slice::from_ref(&self.staging), ring)
+            .expect("n ≤ max_batch samples of the plan validated at server construction");
         let run_end_ns = ring.now_ns();
-        ring.span(kind::BATCH_RUN, bucket, NO_TRACE, stage_end_ns, run_end_ns);
+        ring.span(kind::BATCH_RUN, n as u32, NO_TRACE, stage_end_ns, run_end_ns);
         let out = outs[0].data();
         let out_len = self.core.output_numel;
         for (i, job) in self.batch.drain(..).enumerate() {
             job.slot.complete_ok_returning(&out[i * out_len..(i + 1) * out_len], job.input);
             stats.record_latency(job.enqueued.elapsed());
         }
-        ring.span(kind::SCATTER, bucket, NO_TRACE, run_end_ns, ring.now_ns());
+        ring.span(kind::SCATTER, n as u32, NO_TRACE, run_end_ns, ring.now_ns());
         let service = exec_start.elapsed();
         for _ in 0..n {
             stats.service.record(service);
         }
-        stats.record_batch(n, bucket as usize);
-        stats.bytes_moved.add(self.engines[bi].plan().bytes_moved as u64);
+        stats.record_batch(n);
+        // Every copy the plan makes is proportional to the batch, so the
+        // n rows that ran moved n / max_batch of the plan's bytes.
+        let moved = self.engine.plan().bytes_moved * n / self.core.cfg.max_batch;
+        stats.bytes_moved.add(moved as u64);
         stats.worker_busy_us[self.shard].add(service.as_micros() as u64);
         stats.worker_batches[self.shard].inc();
         StepOutcome::Ran(n)

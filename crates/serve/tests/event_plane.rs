@@ -284,7 +284,7 @@ fn warm_event_loop_turn_performs_zero_heap_allocations() {
         assert_eq!(resp[4], 0, "expected OK status");
     };
 
-    // Warm everything: accept path, bucket engines, pool, write buffers.
+    // Warm everything: accept path, the engine, pool, write buffers.
     for _ in 0..6 {
         roundtrip(&mut el, &mut sock, &framed);
     }

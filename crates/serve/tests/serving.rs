@@ -7,13 +7,13 @@
 use std::time::Duration;
 
 use temco_ir::Graph;
-use temco_runtime::Engine;
+use temco_runtime::{CompiledGraph, Engine};
 use temco_serve::{ServeConfig, ServeError, Server, StepOutcome};
 use temco_tensor::Tensor;
 
-/// A small MLP — cheap enough that every test compiles the full bucket
-/// ladder in milliseconds, structurally enough (two GEMMs + ReLU) to
-/// catch batching/padding/scatter mistakes.
+/// A small MLP — cheap enough that every test compiles its server's plan
+/// in milliseconds, structurally enough (two GEMMs + ReLU) to catch
+/// batching/staging/scatter mistakes.
 fn tiny_mlp() -> Graph {
     let mut g = Graph::new();
     let x = g.input(&[1, 6], "x");
@@ -52,7 +52,8 @@ fn gathered_batch_matches_single_sample_reference() {
 
     let tickets: Vec<_> = samples.iter().map(|s| server.submit(s.clone()).unwrap()).collect();
     let mut worker = server.manual_worker();
-    // All five queued jobs coalesce into one batch (padded to bucket 8).
+    // All five queued jobs coalesce into one batch: five rows of the
+    // batch-8 plan.
     assert_eq!(worker.step(), StepOutcome::Ran(5));
     for (t, w) in tickets.into_iter().zip(&want) {
         let got = t.wait().unwrap();
@@ -71,13 +72,29 @@ fn gathered_batch_matches_single_sample_reference() {
 }
 
 #[test]
-fn bucket_ladder_is_powers_of_two_topped_by_max_batch() {
-    let server = Server::new(tiny_mlp(), manual_config(8, 8)).unwrap();
-    assert_eq!(server.buckets(), &[1, 2, 4, 8]);
-    let server = Server::new(tiny_mlp(), manual_config(6, 8)).unwrap();
-    assert_eq!(server.buckets(), &[1, 2, 4, 6]);
-    let server = Server::new(tiny_mlp(), manual_config(1, 8)).unwrap();
-    assert_eq!(server.buckets(), &[1]);
+fn one_plan_at_max_batch_is_the_whole_slab() {
+    for max_batch in [8, 6, 1] {
+        let server = Server::new(tiny_mlp(), manual_config(max_batch, 8)).unwrap();
+        assert_eq!(server.buckets(), &[max_batch]);
+        let plan = CompiledGraph::new(tiny_mlp().rebatch(max_batch)).unwrap();
+        assert_eq!(server.stats().slab_bytes_per_worker, plan.slab_bytes());
+        assert_eq!(server.manual_worker().slab_bytes(), plan.slab_bytes());
+    }
+}
+
+#[test]
+fn a_batch_counts_the_bytes_its_rows_moved() {
+    // Concat-free, so every copy the plan makes scales with the batch: a
+    // batch of 3 on the batch-8 plan moves what a batch-3 plan moves.
+    let server = Server::new(tiny_mlp(), manual_config(8, 64)).unwrap();
+    let mut worker = server.manual_worker();
+    for i in 0..3 {
+        server.submit(Tensor::rand_uniform(&[1, 6], 600 + i, -1.0, 1.0)).unwrap();
+    }
+    assert_eq!(worker.step(), StepOutcome::Ran(3));
+    let want = CompiledGraph::new(tiny_mlp().rebatch(3)).unwrap().plan().bytes_moved;
+    assert!(want > 0);
+    assert_eq!(server.stats().bytes_moved, want as u64);
 }
 
 #[test]
@@ -90,7 +107,7 @@ fn oversubmitted_queue_splits_into_max_batch_chunks() {
 
     let mut worker = server.manual_worker();
     assert_eq!(worker.step(), StepOutcome::Ran(4), "first chunk caps at max_batch");
-    assert_eq!(worker.step(), StepOutcome::Ran(2), "remainder pads to bucket 2");
+    assert_eq!(worker.step(), StepOutcome::Ran(2), "the remainder runs two rows");
     assert_eq!(worker.step(), StepOutcome::Idle);
     for (t, w) in tickets.into_iter().zip(&want) {
         assert!(t.wait().unwrap().all_close(w, 1e-5));
@@ -242,12 +259,12 @@ fn wait_timeout_hands_the_ticket_back() {
 }
 
 #[test]
-fn non_power_of_two_max_batch_ladder_agrees_with_stats() {
-    // max_batch 6 → ladder [1, 2, 4, 6]. A full batch of 6 must land in
-    // the histogram's top slot (index size − 1): Stats::new and
-    // bucket_ladder have to agree on what the largest executed size is.
+fn non_power_of_two_max_batch_agrees_with_stats() {
+    // A full batch of 6 must land in the histogram's top slot (index
+    // size − 1): Stats::new and the plan have to agree on what the
+    // largest executed size is.
     let server = Server::new(tiny_mlp(), manual_config(6, 64)).unwrap();
-    assert_eq!(server.buckets(), &[1, 2, 4, 6]);
+    assert_eq!(server.buckets(), &[6]);
 
     let samples: Vec<Tensor> =
         (0..6).map(|i| Tensor::rand_uniform(&[1, 6], 500 + i, -1.0, 1.0)).collect();
@@ -264,13 +281,16 @@ fn non_power_of_two_max_batch_ladder_agrees_with_stats() {
     assert_eq!(snap.batch_size_hist[5], 1, "batch of 6 lands in the top slot");
     assert!((snap.mean_batch_size() - 6.0).abs() < 1e-9);
 
-    // A gathered batch of 3 pads up to bucket 4 but records its true size.
+    // A gathered batch of 3 runs three rows and records its size.
     let tickets: Vec<_> = samples[..3].iter().map(|s| server.submit(s.clone()).unwrap()).collect();
     assert_eq!(worker.step(), StepOutcome::Ran(3));
     for (t, w) in tickets.into_iter().zip(&want) {
         assert!(t.wait().unwrap().all_close(w, 1e-5));
     }
-    assert_eq!(server.stats().batch_size_hist[2], 1);
+    let snap = server.stats();
+    assert_eq!(snap.batch_size_hist[2], 1);
+    // Occupancy is the mean batch over max_batch: (6 + 3) / 2 of 6.
+    assert!((snap.batch_occupancy() - 0.75).abs() < 1e-9);
 }
 
 #[test]
@@ -283,7 +303,7 @@ fn degenerate_configs_are_typed_build_errors() {
     assert!(Server::new(tiny_mlp(), cfg).is_err());
 
     // A graph whose batch dimension isn't first collapses under rebatch:
-    // the scalar input makes every bucket fail with a typed Rebatch error.
+    // the scalar input makes re-batching fail with a typed Rebatch error.
     let mut g = Graph::new();
     let x = g.input(&[], "s");
     let r = g.relu(x, "r");

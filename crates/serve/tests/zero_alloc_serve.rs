@@ -1,6 +1,7 @@
-//! The serving acceptance bar inherited from the runtime: once a bucket
+//! The serving acceptance bar inherited from the runtime: once the engine
 //! is warm, a worker step — pop, gather, stage, run, scatter, complete,
-//! record — performs **zero** heap allocations. Submission is allowed to
+//! record — performs **zero** heap allocations, whatever the batch size,
+//! on the one engine every batch runs on. Submission is allowed to
 //! allocate (it builds the job and the preallocated response buffer); the
 //! worker hot path is not.
 //!
@@ -80,31 +81,25 @@ fn warm_worker_step_performs_zero_heap_allocations() {
     let samples: Vec<Tensor> =
         (0..4).map(|i| Tensor::rand_uniform(&[1, 6], 50 + i, -1.0, 1.0)).collect();
 
-    // Warm every bucket a measured step will touch (1 and 4): first runs
-    // populate lazily-initialized engine/thread-pool state.
-    let warm1 = server.submit(samples[0].clone()).unwrap();
-    assert_eq!(worker.step(), StepOutcome::Ran(1));
-    warm1.wait().unwrap();
-    let warm4: Vec<_> = samples.iter().map(|s| server.submit(s.clone()).unwrap()).collect();
+    // Warm the engine with a full batch: first runs populate
+    // lazily-initialized engine/thread-pool state.
+    let warm: Vec<_> = samples.iter().map(|s| server.submit(s.clone()).unwrap()).collect();
     assert_eq!(worker.step(), StepOutcome::Ran(4));
-    for t in warm4 {
+    for t in warm {
         t.wait().unwrap();
     }
 
-    // Steady state, batch of 1.
-    let t = server.submit(samples[0].clone()).unwrap();
-    let (outcome, allocs) = count_allocs(|| worker.step());
-    assert_eq!(outcome, StepOutcome::Ran(1));
-    assert_eq!(allocs, 0, "warm batch-1 worker step allocated {allocs} times");
-    t.wait().unwrap();
-
-    // Steady state, full batch (gather of 4 + padding-free staging).
-    let tickets: Vec<_> = samples.iter().map(|s| server.submit(s.clone()).unwrap()).collect();
-    let (outcome, allocs) = count_allocs(|| worker.step());
-    assert_eq!(outcome, StepOutcome::Ran(4));
-    assert_eq!(allocs, 0, "warm batch-4 worker step allocated {allocs} times");
-    for t in tickets {
-        t.wait().unwrap();
+    // Steady state at every sample count, shrinking and growing on the
+    // one engine: 1, 3, max_batch, then 3 again.
+    for n in [1, 3, 4, 3] {
+        let tickets: Vec<_> =
+            samples[..n].iter().map(|s| server.submit(s.clone()).unwrap()).collect();
+        let (outcome, allocs) = count_allocs(|| worker.step());
+        assert_eq!(outcome, StepOutcome::Ran(n));
+        assert_eq!(allocs, 0, "warm batch-{n} worker step allocated {allocs} times");
+        for t in tickets {
+            t.wait().unwrap();
+        }
     }
 
     // An idle step is trivially allocation-free too.
@@ -132,7 +127,7 @@ fn instrumented_worker_step_performs_zero_heap_allocations() {
     let samples: Vec<Tensor> =
         (0..4).map(|i| Tensor::rand_uniform(&[1, 6], 90 + i, -1.0, 1.0)).collect();
 
-    // Warm both buckets a measured step will touch.
+    // Warm the engine with a batch of 1 and a full one.
     let warm1 = server.submit(samples[0].clone()).unwrap();
     assert_eq!(worker.step(), StepOutcome::Ran(1));
     warm1.wait().unwrap();
@@ -158,7 +153,7 @@ fn instrumented_worker_step_performs_zero_heap_allocations() {
 
     // The flight recorder holds each executed batch whole, published from
     // inside the allocation-free window above: exactly one span per stage
-    // and one RUN, a NODE span per node of the bucket graph, all tagged
+    // and one RUN, a NODE span per node of the graph, all tagged
     // with the batch's trace, plus per-request queue spans and fan-in
     // markers under the requests' own traces.
     use temco_obs::{is_batch_trace, kind, NO_TRACE};
@@ -174,7 +169,7 @@ fn instrumented_worker_step_performs_zero_heap_allocations() {
         for k in [kind::GATHER, kind::STAGE, kind::BATCH_RUN, kind::SCATTER, kind::RUN] {
             assert_eq!(count(k), 1, "expected one {} span per executed batch", kind::label(k));
         }
-        assert_eq!(count(kind::NODE), nodes, "one NODE span per node of the bucket graph");
+        assert_eq!(count(kind::NODE), nodes, "one NODE span per node of the graph");
     }
     assert_eq!(spans.iter().filter(|e| e.kind == kind::QUEUE && e.trace != NO_TRACE).count(), 9);
     assert_eq!(spans.iter().filter(|e| e.kind == kind::MEMBER).count(), 9);

@@ -122,6 +122,19 @@ impl Tensor {
         self.shape[i]
     }
 
+    /// Set the outermost extent in place, keeping the rest of the shape:
+    /// trailing rows are dropped, or appended zero-filled. The buffer keeps
+    /// its capacity, so growing back to any extent the tensor has had
+    /// before does not allocate.
+    ///
+    /// # Panics
+    /// Panics on a rank-0 tensor.
+    pub fn resize_outer(&mut self, outer: usize) {
+        let row: usize = self.shape[1..].iter().product();
+        self.shape[0] = outer;
+        self.data.resize(outer * row, 0.0);
+    }
+
     /// Reinterpret with a new shape of the same volume.
     ///
     /// # Panics

@@ -11,9 +11,12 @@ echo "=== cargo clippy (-D warnings) ==="
 cargo clippy --workspace --all-targets -- -D warnings
 
 # Doc-link gate: a doc comment naming a function, module or type that no
-# longer exists (a renamed or deleted kernel entry point, say) fails here.
-echo "=== cargo doc (-D rustdoc::broken_intra_doc_links) ==="
-RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --offline --no-deps --workspace
+# longer exists (a renamed or deleted kernel entry point, say) fails here,
+# and so does a public doc linking a private item (a dead link in the
+# published docs).
+echo "=== cargo doc (-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_links) ==="
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_links" \
+    cargo doc --offline --no-deps --workspace
 
 echo "=== tier-1: cargo build --release ==="
 cargo build --release

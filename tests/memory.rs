@@ -58,8 +58,12 @@ fn temco_reduces_arena_size_not_just_live_peak() {
     assert!(a_opt < a_dec, "arena {a_dec} → {a_opt}");
 }
 
+/// Rescheduling (with merged lconvs) keeps the outputs and does not raise
+/// the planned internal peak — checked only on resnet18 and unet_small at
+/// 64², batch 1. It is not a claim for every model: at paper scale the
+/// scheduler raises densenet121/169's peak by 0.8 %.
 #[test]
-fn rescheduling_preserves_semantics_and_never_hurts_peak() {
+fn rescheduling_keeps_outputs_and_peak_on_resnet18_and_unet_small_at_64px() {
     let base = Compiler::default();
     let resched = Compiler::new(CompilerOptions {
         merge_lconvs: true,

@@ -11,15 +11,48 @@
 //! 3. optimized graphs are semantically equivalent to `Decomposed`
 //!    (the Figure 12 property);
 //! 4. the per-node reference executor's memory tracker agrees with the
-//!    static planner byte-for-byte on compiled graphs (fused ops included).
+//!    static planner byte-for-byte on compiled graphs (fused ops included);
+//! 5. the plan a server compiles at `max_batch` reserves enough kernel
+//!    scratch for every smaller batch it runs on the same offsets.
 
 use temco::{compare_outputs, Compiler, OptLevel};
-use temco_models::{ModelConfig, ModelId};
-use temco_runtime::{execute, plan_memory, ExecMode, ExecOptions};
+use temco_ir::Graph;
+use temco_models::{EncoderId, ModelConfig, ModelId};
+use temco_runtime::{
+    execute, node_scratch_bytes, plan_memory, CompiledGraph, ExecMode, ExecOptions,
+};
 use temco_tensor::Tensor;
 
 fn small_cfg() -> ModelConfig {
     ModelConfig { batch: 1, image: 64, num_classes: 10, classifier_width: 64, seed: 7 }
+}
+
+/// The largest batch the scratch check plans for.
+const MAX_BATCH: usize = 8;
+
+/// A server compiles its model once, at `max_batch`, and runs any batch of
+/// n ≤ `max_batch` samples on that plan's offsets. The values are sound by
+/// construction (a batch-n value is the prefix of its batch-max region);
+/// kernel scratch is not: the plan reserves each node's scratch at
+/// `max_batch`, and a formula that asked for more at a smaller batch would
+/// overrun it. The `Linear` GEMM re-partitions its worker grid as its row
+/// count shrinks, so the bound is checked node by node, not assumed.
+fn assert_reservation_covers_every_batch(name: &str, g: &Graph) {
+    let compiled = CompiledGraph::new(g.rebatch(MAX_BATCH)).expect("max-batch plan");
+    let plan = compiled.plan();
+    for n in 1..=MAX_BATCH {
+        let gn = g.rebatch(n);
+        for (i, node) in gn.nodes.iter().enumerate() {
+            let need = node_scratch_bytes(&gn, node, plan.node_schedule[i]);
+            assert!(
+                need <= plan.node_scratch[i],
+                "{name}: node '{}' needs {need} B of scratch at batch {n}, the batch-{MAX_BATCH} \
+                 plan reserves {}",
+                node.name,
+                plan.node_scratch[i]
+            );
+        }
+    }
 }
 
 /// Compile at `Decomposed` and the model's best TeMCO level, then assert
@@ -51,6 +84,7 @@ fn check_model(id: ModelId, exec: bool) {
     let peak_dec = plan_memory(&dec).peak_internal_bytes;
     let peak_opt = plan_memory(&opt).peak_internal_bytes;
     assert!(peak_opt < peak_dec, "{}: peak {peak_dec} → {peak_opt} ({ostats:?})", id.name());
+    assert_reservation_covers_every_batch(id.name(), &opt);
 
     if !exec {
         return;
@@ -128,6 +162,13 @@ fn unet_compiles_and_reduces_memory() {
 #[test]
 fn unet_small_end_to_end() {
     check_model(ModelId::UnetSmall, true);
+}
+
+#[test]
+fn encoder_scratch_reservation_covers_every_batch() {
+    for encoder in EncoderId::all() {
+        assert_reservation_covers_every_batch(encoder.name(), &encoder.build(&encoder.config()));
+    }
 }
 
 #[test]
